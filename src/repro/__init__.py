@@ -30,13 +30,10 @@ Quickstart
 >>> result.throughput_gbps > 0
 True
 
-The pre-facade entry points (``build_system`` + hand-constructed engines)
-keep working behind ``DeprecationWarning`` shims and produce byte-identical
-numbers.
+Lower layers stay importable for direct use: :func:`repro.system.build_system`
+builds a bare :class:`PimSystem`, and :class:`repro.core.PimMmuRuntime` is the
+paper's ``pim_mmu_op`` API (Figure 10b) with a functional-copy path.
 """
-
-import warnings as _warnings
-from typing import Optional as _Optional
 
 from repro.api import (
     RequestRecord,
@@ -50,9 +47,7 @@ from repro.api import (
     register_backend,
 )
 from repro.fabric import available_fabrics, register_fabric
-from repro.memctrl.kernel import available_kernels
 from repro.memctrl.policies import available_policies, register_policy
-from repro.memctrl.pump import available_pumps
 from repro.registry import VariantRegistry, Variants
 from repro.sim.config import (
     CpuConfig,
@@ -63,40 +58,12 @@ from repro.sim.config import (
     PimMmuConfig,
     SystemConfig,
 )
-from repro.sim.engine import SimulationEngine as _SimulationEngine
-from repro.sim.stats import StatsRegistry as _StatsRegistry
 from repro.system import PimSystem
-from repro.system import build_system as _build_system
 from repro.transfer import TransferDescriptor, TransferDirection, TransferResult
 from repro.scenarios import ScenarioSpec, ServingSpec, TenantSpec
 from repro.workloads import LlmTenantSpec, ModelSpec
 
 __version__ = "1.5.0"
-
-
-def build_system(
-    config: _Optional[SystemConfig] = None,
-    design_point: DesignPoint = DesignPoint.BASELINE,
-    engine: _Optional[_SimulationEngine] = None,
-    stats: _Optional[_StatsRegistry] = None,
-) -> PimSystem:
-    """Deprecated shim for the pre-``Session`` quickstart path.
-
-    Builds the same :class:`~repro.system.PimSystem` it always did (internal
-    code keeps using :func:`repro.system.build_system`, which does not warn),
-    but new code should open a :class:`Session` instead -- it owns the system
-    lifecycle, isolates consecutive runs and returns typed results.
-    """
-    _warnings.warn(
-        "repro.build_system() is deprecated; open a repro.Session instead "
-        "(Session.open(config=..., design_point=...))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _build_system(
-        config=config, design_point=design_point, engine=engine, stats=stats
-    )
-
 
 __all__ = [
     "CpuConfig",
@@ -126,10 +93,7 @@ __all__ = [
     "__version__",
     "available_backends",
     "available_fabrics",
-    "available_kernels",
     "available_policies",
-    "available_pumps",
-    "build_system",
     "default_backend_name",
     "register_backend",
     "register_fabric",

@@ -14,10 +14,6 @@ One import gives the three pieces every caller needs:
 * :class:`RunResult` -- the one typed, versioned result schema every entry
   point returns; request-oriented runs (LLM serving) additionally carry
   per-request :class:`RequestRecord` rows (see :mod:`repro.api.results`).
-
-The pre-facade entry points (``repro.build_system`` + hand-constructed
-engines/runtimes) keep working behind :class:`DeprecationWarning` shims and
-produce byte-identical numbers; see ``docs/api.md`` for the migration map.
 """
 
 from repro.api.backends import (

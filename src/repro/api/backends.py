@@ -141,9 +141,9 @@ class DceBackend:
         return isinstance(work, TransferDescriptor)
 
     def _engine(self, system: "PimSystem"):
-        from repro.core.dce import create_dce
+        from repro.core.dce import DataCopyEngine
 
-        return create_dce(system, policy=self.policy)
+        return DataCopyEngine(system, policy=self.policy)
 
     def execute(
         self,

@@ -13,21 +13,20 @@ functionally (including the chip-interleaving transpose, which the DCE's
 preprocessing unit applies in hardware), so examples and tests can verify
 data integrity end to end.
 
-Constructing the runtime directly is deprecated for callers that only need
-timing results: :meth:`repro.api.Session.transfer` drives the same DCE
-through the registered ``pim_mmu`` backend and returns a typed result.  The
-runtime remains the home of the functional-copy path (host buffers).
+Callers that only need timing results can use
+:meth:`repro.api.Session.transfer`, which drives the same DCE through the
+registered ``pim_mmu`` backend and returns a typed result.  The runtime is
+the home of the functional-copy path (host buffers).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core.dce import create_dce
+from repro.core.dce import DataCopyEngine
 from repro.core.driver import PimMmuDevice
 from repro.host.allocator import HostAllocator
 from repro.pim.transpose import transpose_for_pim, transpose_from_pim
@@ -76,16 +75,9 @@ class PimMmuRuntime:
     results: List[TransferResult] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        warnings.warn(
-            "constructing PimMmuRuntime directly is deprecated; drive transfers "
-            "through repro.Session (session.transfer(...) uses the registered "
-            "'pim_mmu' backend and returns a typed RunResult)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
         if self.allocator is None:
             self.allocator = HostAllocator(self.system.partition)
-        dce = create_dce(self.system, policy=self.policy)
+        dce = DataCopyEngine(self.system, policy=self.policy)
         self.device = PimMmuDevice(dce=dce)
 
     # --------------------------------------------------------------- op build

@@ -25,20 +25,12 @@ non-zero naming the failed spec.
     the default for.
 ``repro variants``
     List every registered variant axis -- memory-scheduler policies
-    (``--policy`` / ``Variants(policy=...)``), DRAM service kernels
-    (``--kernel``), transfer pumps (``--transfer-pump``), transfer backends
-    and interconnect fabrics (``--fabric`` / :mod:`repro.fabric`).  Every
-    listed spec round-trips through :class:`repro.registry.Variants`.
-``repro policies``
-    Deprecated alias: the policy/kernel/pump subset of ``repro variants``,
-    kept with byte-identical output for scripts that parse it.
+    (``--policy`` / ``Variants(policy=...)``), transfer backends and
+    interconnect fabrics (``--fabric`` / :mod:`repro.fabric`).
 ``repro bench``
     Run the fixed hot-path benchmark matrix (events/sec + wall-clock) and
     append the result to the committed ``BENCH_hotpath.json`` trajectory;
-    ``--quick --check`` is the CI perf-smoke gate, ``--compare-kernels``
-    asserts the SoA kernel beats the object kernel on the same matrix, and
-    ``--compare-fabric`` asserts the ``fabric=none`` pass-through stays
-    within 2% of the default configuration.
+    ``--quick --check`` is the CI perf-smoke gate.
 ``repro clean-cache``
     Delete the on-disk experiment cache (``results/.cache``) and the fleet
     journals (``results/.fleet``).
@@ -53,9 +45,11 @@ import argparse
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.analysis.report import format_table
+from repro.fabric import validate_fabric
+from repro.memctrl.policies import create_policy
 from repro.sim.config import DesignPoint, SystemConfig
 from repro.transfer.descriptor import TransferDirection
 
@@ -275,6 +269,19 @@ def parse_retries(text: str) -> int:
     return retries
 
 
+def _variant_arg(validate: Callable[[str], object]) -> Callable[[str], str]:
+    """An argparse ``type=`` that checks a variant spec against its registry."""
+
+    def parse(text: str) -> str:
+        try:
+            validate(text)
+        except (KeyError, ValueError) as error:
+            raise argparse.ArgumentTypeError(error.args[0] if error.args else error)
+        return text
+
+    return parse
+
+
 def _resolve_config(name: str) -> SystemConfig:
     if name == "paper":
         return SystemConfig.paper_baseline()
@@ -289,26 +296,18 @@ def _build_session(args: argparse.Namespace) -> "Session":
     programmatic users.  Sweep-style commands additionally get the fleet
     layer: a streaming journal under ``<results-dir>/.fleet`` (replayed by
     ``--resume``), per-task ``--task-timeout`` and bounded ``--retries``.
+    Use the session as a context manager: closing it closes the journal.
     """
     from repro.api import Session
 
     config = _resolve_config(args.config)
     builder = Session.builder().config(config).jobs(args.jobs)
-    kernel = getattr(args, "kernel", None)
-    if kernel is not None:
+    if args.fabric is not None:
         # Session-level selection: the whole sweep's config runs under this
-        # service kernel (figures have no per-spec kernel field; for sweep/
-        # scenarios the per-spec override applies the same value again,
-        # which is a no-op).
-        builder.kernel(kernel)
-    pump = getattr(args, "transfer_pump", None)
-    if pump is not None:
-        # Same session-level selection for the transfer pump.
-        builder.pump(pump)
-    fabric = getattr(args, "fabric", None)
-    if fabric is not None:
-        # Same session-level selection for the interconnect fabric.
-        builder.fabric(fabric)
+        # interconnect fabric (figures have no per-spec fabric field; for
+        # sweep/scenarios the per-spec override applies the same value
+        # again, which is a no-op).
+        builder.fabric(args.fabric)
     if not args.no_cache:
         cache_dir = args.cache_dir or (args.results_dir / CACHE_DIR_NAME)
         cache = ResultCache(Path(cache_dir))
@@ -335,16 +334,32 @@ def _build_session(args: argparse.Namespace) -> "Session":
     return session
 
 
-def _build_provider(args: argparse.Namespace) -> ExperimentProvider:
-    return _build_session(args).provider
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Regenerate the PIM-MMU reproduction's figures and sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # Variant flags shared by several subcommands, declared once.
+    fabric_flag = argparse.ArgumentParser(add_help=False)
+    fabric_flag.add_argument(
+        "--fabric",
+        type=_variant_arg(validate_fabric),
+        default=None,
+        help="interconnect fabric: none (the direct path, which regenerates "
+        "the committed tables byte-for-byte) or "
+        "mesh:WxH[,hop_ns=..,credits=..,ingress=..] (see `repro variants`)",
+    )
+    policy_flag = argparse.ArgumentParser(add_help=False)
+    policy_flag.add_argument(
+        "--policy",
+        type=_variant_arg(create_policy),
+        default=None,
+        help="memory-scheduler policy spec, e.g. frfcfs_cap:4 or "
+        "qos_priority:<tenant>=1 (see `repro variants`); for `scenarios` it "
+        "applies to the ad-hoc --tenants/--trace mix only",
+    )
 
     def add_common(cmd: argparse.ArgumentParser) -> None:
         cmd.add_argument(
@@ -409,7 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     figures = sub.add_parser(
-        "figures", help="regenerate the paper's tables/figures under results/"
+        "figures",
+        parents=[fabric_flag],
+        help="regenerate the paper's tables/figures under results/",
     )
     figures.add_argument(
         "names",
@@ -425,31 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     figures.add_argument(
         "--list", action="store_true", help="list available figures and exit"
     )
-    figures.add_argument(
-        "--kernel",
-        default=None,
-        help="DRAM service kernel the figures run under: object or soa "
-        "(bit-identical by construction; the committed tables regenerate "
-        "byte-for-byte under either)",
-    )
-    figures.add_argument(
-        "--transfer-pump",
-        default=None,
-        help="transfer pump the figures run under: object or burst "
-        "(bit-identical by construction; the committed tables regenerate "
-        "byte-for-byte under either)",
-    )
-    figures.add_argument(
-        "--fabric",
-        default=None,
-        help="interconnect fabric the figures run under (see `repro variants`); "
-        "`none` is the default direct path and regenerates the committed "
-        "tables byte-for-byte",
-    )
     add_common(figures)
 
     sweep = sub.add_parser(
-        "sweep", help="run an ad-hoc grid of transfer experiments"
+        "sweep",
+        parents=[policy_flag, fabric_flag],
+        help="run an ad-hoc grid of transfer experiments",
     )
     sweep.add_argument(
         "--design-point",
@@ -491,32 +489,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the OS scheduling quantum in nanoseconds",
     )
-    sweep.add_argument(
-        "--policy",
-        default=None,
-        help="memory-scheduler policy spec, e.g. frfcfs_cap:4 (see `repro policies`)",
-    )
-    sweep.add_argument(
-        "--kernel",
-        default=None,
-        help="DRAM service kernel: object or soa (bit-identical; soa is faster)",
-    )
-    sweep.add_argument(
-        "--transfer-pump",
-        default=None,
-        help="transfer pump: object or burst (bit-identical; burst "
-        "vectorizes issue)",
-    )
-    sweep.add_argument(
-        "--fabric",
-        default=None,
-        help="interconnect fabric: none or mesh:WxH[,hop_ns=..,credits=..] "
-        "(see `repro variants`)",
-    )
     add_common(sweep)
 
     scenarios = sub.add_parser(
         "scenarios",
+        parents=[policy_flag, fabric_flag],
         help="run multi-tenant scenarios (registered mixes or an ad-hoc --tenants mix)",
     )
     scenarios.add_argument(
@@ -566,30 +543,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="skip the per-tenant isolated baseline runs (no slowdown column); "
         "applies to registered and ad-hoc scenarios alike",
     )
-    scenarios.add_argument(
-        "--policy",
-        default=None,
-        help="memory-scheduler policy spec for the ad-hoc --tenants/--trace mix "
-        "(e.g. qos_priority:t0-transfer=1); registered scenarios carry their own",
-    )
-    scenarios.add_argument(
-        "--kernel",
-        default=None,
-        help="DRAM service kernel for the ad-hoc --tenants/--trace mix: "
-        "object or soa (bit-identical; soa is faster)",
-    )
-    scenarios.add_argument(
-        "--transfer-pump",
-        default=None,
-        help="transfer pump for the ad-hoc --tenants/--trace mix: "
-        "object or burst (bit-identical; burst vectorizes issue)",
-    )
-    scenarios.add_argument(
-        "--fabric",
-        default=None,
-        help="interconnect fabric for the ad-hoc --tenants/--trace mix: "
-        "none or mesh:WxH (registered scenarios carry their own)",
-    )
     add_common(scenarios)
 
     sub.add_parser(
@@ -599,18 +552,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser(
         "variants",
-        help="list every registered variant axis: scheduler policies, DRAM "
-        "service kernels, transfer pumps, transfer backends and fabrics",
-    )
-
-    sub.add_parser(
-        "policies",
-        help="list the policy/kernel/pump axes (deprecated alias; "
-        "`repro variants` lists all five axes)",
+        help="list every registered variant axis: scheduler policies, "
+        "transfer backends and fabrics",
     )
 
     bench = sub.add_parser(
         "bench",
+        parents=[fabric_flag],
         help="run the fixed hot-path benchmark matrix (events/sec + wall-clock)",
     )
     bench.add_argument(
@@ -655,61 +603,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-write",
         action="store_true",
         help="do not append the entry to the trajectory file",
-    )
-    bench.add_argument(
-        "--kernel",
-        default="object",
-        help="DRAM service kernel the matrix runs under: object or soa "
-        "(bit-identical events; only the wall clock moves)",
-    )
-    bench.add_argument(
-        "--compare-kernels",
-        action="store_true",
-        help="run the matrix under BOTH kernels, print both, and fail "
-        "(exit 1) unless the soa kernel's aggregate events/sec beats the "
-        "object kernel's (implies --no-write)",
-    )
-    bench.add_argument(
-        "--transfer-pump",
-        default="object",
-        help="transfer pump the matrix runs under: object or burst "
-        "(bit-identical events; only the wall clock moves)",
-    )
-    bench.add_argument(
-        "--compare-pumps",
-        action="store_true",
-        help="run the matrix under BOTH transfer pumps, print both, and "
-        "fail (exit 1) unless the burst pump's aggregate events/sec beats "
-        "the object pump's (implies --no-write)",
-    )
-    bench.add_argument(
-        "--fabric",
-        default="none",
-        help="interconnect fabric the matrix runs under (default: none; a "
-        "mesh changes the event stream, so it cannot be combined with "
-        "--check or the compare gates)",
-    )
-    bench.add_argument(
-        "--compare-fabric",
-        action="store_true",
-        help="run the matrix with the fabric layer explicitly selected off "
-        "(fabric=none) against the default configuration in paired rounds "
-        "and fail (exit 1) if the fabric=none session falls below 98%% of "
-        "the default's aggregate events/sec (implies --no-write)",
-    )
-    bench.add_argument(
-        "--baseline-kernel",
-        default=None,
-        help="also measure a baseline configuration with this kernel in the "
-        "same invocation (paired rounds) and record the speedup ratio in "
-        "the trajectory entry (default: the --kernel value)",
-    )
-    bench.add_argument(
-        "--baseline-pump",
-        default=None,
-        help="also measure a baseline configuration with this transfer pump "
-        "in the same invocation (paired rounds) and record the speedup "
-        "ratio in the trajectory entry (default: the --transfer-pump value)",
     )
     bench.add_argument(
         "--profile",
@@ -809,41 +702,26 @@ def cmd_figures(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    provider = _build_provider(args)
-    started = time.perf_counter()
-    try:
-        paths = generate_figures(provider, figures, args.results_dir)
-    except FleetError as error:
-        print(f"error: {error}", file=sys.stderr)
-        print(
-            "completed specs were journalled; fix the failure and rerun with "
-            "--resume to continue where this sweep stopped",
-            file=sys.stderr,
-        )
-        return 1
-    for path in paths:
-        print(f"wrote {path}")
-    _print_stats(provider, time.perf_counter() - started)
+    with _build_session(args) as session:
+        provider = session.provider
+        started = time.perf_counter()
+        try:
+            paths = generate_figures(provider, figures, args.results_dir)
+        except FleetError as error:
+            print(f"error: {error}", file=sys.stderr)
+            print(
+                "completed specs were journalled; fix the failure and rerun "
+                "with --resume to continue where this sweep stopped",
+                file=sys.stderr,
+            )
+            return 1
+        for path in paths:
+            print(f"wrote {path}")
+        _print_stats(provider, time.perf_counter() - started)
     return 0
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    if args.policy is not None:
-        from repro.memctrl.policies import create_policy
-
-        create_policy(args.policy)  # fail fast on unknown specs
-    if args.kernel is not None:
-        from repro.memctrl.kernel import kernel_class
-
-        kernel_class(args.kernel)  # fail fast on unknown specs
-    if args.transfer_pump is not None:
-        from repro.memctrl.pump import validate_pump
-
-        validate_pump(args.transfer_pump)  # fail fast on unknown specs
-    if args.fabric is not None:
-        from repro.fabric import validate_fabric
-
-        validate_fabric(args.fabric)  # fail fast on unknown specs
     sweep = Sweep(
         design_points=tuple(args.design_points or DesignPoint),
         directions=_DIRECTION_ALIASES[args.direction],
@@ -852,12 +730,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         sim_cap_bytes=args.sim_cap,
         scheduling_quantum_ns=args.quantum_ns,
         memctrl_policy=args.policy,
-        memctrl_kernel=args.kernel,
-        transfer_pump=args.transfer_pump,
         fabric=args.fabric,
     )
-    provider = _build_provider(args)
-    started = time.perf_counter()
     # Repeated identical flag values collapse here (shard keys must be
     # unique; without a shard the runner would dedupe anyway).
     specs = list(dict.fromkeys(sweep.specs()))
@@ -866,47 +740,50 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not specs:
             print(f"shard {args.shard.label}: no specs assigned; nothing to do")
             return 0
-    try:
-        provider.prefetch(specs)
-    except FleetError as error:
-        print(f"error: {error}", file=sys.stderr)
+    with _build_session(args) as session:
+        provider = session.provider
+        started = time.perf_counter()
+        try:
+            provider.prefetch(specs)
+        except FleetError as error:
+            print(f"error: {error}", file=sys.stderr)
+            print(
+                "the remaining rows completed and were cached/journalled; rerun "
+                "(optionally with --resume) after fixing the failure",
+                file=sys.stderr,
+            )
+            return 1
+        rows = []
+        for spec in specs:
+            experiment = provider.run(spec)
+            rows.append(
+                {
+                    "design": spec.design_point.label,
+                    "direction": spec.direction.value,
+                    "size_MiB": spec.total_bytes / 1024**2,
+                    "contention": spec.contention.label if spec.contention else "none",
+                    "throughput_gbps": experiment.throughput_gbps,
+                    "latency_us": experiment.duration_ns / 1e3,
+                    "energy_J": experiment.energy_joules,
+                }
+            )
         print(
-            "the remaining rows completed and were cached/journalled; rerun "
-            "(optionally with --resume) after fixing the failure",
-            file=sys.stderr,
+            format_table(
+                rows,
+                columns=[
+                    "design",
+                    "direction",
+                    "size_MiB",
+                    "contention",
+                    "throughput_gbps",
+                    "latency_us",
+                    "energy_J",
+                ],
+                title=f"Sweep: {len(rows)} transfer experiments",
+                float_format="{:.3f}",
+            )
         )
-        return 1
-    rows = []
-    for spec in specs:
-        experiment = provider.run(spec)
-        rows.append(
-            {
-                "design": spec.design_point.label,
-                "direction": spec.direction.value,
-                "size_MiB": spec.total_bytes / 1024**2,
-                "contention": spec.contention.label if spec.contention else "none",
-                "throughput_gbps": experiment.throughput_gbps,
-                "latency_us": experiment.duration_ns / 1e3,
-                "energy_J": experiment.energy_joules,
-            }
-        )
-    print(
-        format_table(
-            rows,
-            columns=[
-                "design",
-                "direction",
-                "size_MiB",
-                "contention",
-                "throughput_gbps",
-                "latency_us",
-                "energy_J",
-            ],
-            title=f"Sweep: {len(rows)} transfer experiments",
-            float_format="{:.3f}",
-        )
-    )
-    _print_stats(provider, time.perf_counter() - started)
+        _print_stats(provider, time.perf_counter() - started)
     return 0
 
 
@@ -954,108 +831,91 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
         )
         return 2
 
-    provider = _build_provider(args)
-    started = time.perf_counter()
-    if adhoc_tenants:
-        # Rename tenants by position so the spec (and its cache key) is a pure
-        # function of the command line.
-        tenants = tuple(
-            dc_replace(spec, name=f"t{index}-{spec.name}")
-            for index, spec in enumerate(adhoc_tenants)
-        )
-        if args.policy is not None:
-            from repro.memctrl.policies import create_policy
-
-            create_policy(args.policy)  # fail fast on unknown specs
-        if args.kernel is not None:
-            from repro.memctrl.kernel import kernel_class
-
-            kernel_class(args.kernel)  # fail fast on unknown specs
-        if args.transfer_pump is not None:
-            from repro.memctrl.pump import validate_pump
-
-            validate_pump(args.transfer_pump)  # fail fast on unknown specs
-        if args.fabric is not None:
-            from repro.fabric import validate_fabric
-
-            validate_fabric(args.fabric)  # fail fast on unknown specs
-        spec = ScenarioSpec(
-            name="adhoc",
-            design_point=args.design_point,
-            tenants=tenants,
-            include_isolated=not args.no_isolated,
-            memctrl_policy=args.policy,
-            memctrl_kernel=args.kernel,
-            transfer_pump=args.transfer_pump,
-            fabric=args.fabric,
-        )
-        try:
-            provider.prefetch([spec])
-            outcome = provider.run(spec)
-        except FleetError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
-        print(render_scenario(outcome))
-    else:
-        try:
-            selected = select_scenarios(args.names, family=args.family)
-        except KeyError as error:
-            print(f"error: {error.args[0]}", file=sys.stderr)
-            return 2
-        if args.shard is not None:
-            selected = shard_items(
-                selected, args.shard, key=lambda scenario: scenario.name
+    with _build_session(args) as session:
+        provider = session.provider
+        started = time.perf_counter()
+        if adhoc_tenants:
+            # Rename tenants by position so the spec (and its cache key) is a pure
+            # function of the command line.
+            tenants = tuple(
+                dc_replace(spec, name=f"t{index}-{spec.name}")
+                for index, spec in enumerate(adhoc_tenants)
             )
-            if not selected:
+            spec = ScenarioSpec(
+                name="adhoc",
+                design_point=args.design_point,
+                tenants=tenants,
+                include_isolated=not args.no_isolated,
+                memctrl_policy=args.policy,
+                fabric=args.fabric,
+            )
+            try:
+                provider.prefetch([spec])
+                outcome = provider.run(spec)
+            except FleetError as error:
+                print(f"error: {error}", file=sys.stderr)
+                return 1
+            print(render_scenario(outcome))
+        else:
+            try:
+                selected = select_scenarios(args.names, family=args.family)
+            except KeyError as error:
+                print(f"error: {error.args[0]}", file=sys.stderr)
+                return 2
+            if args.shard is not None:
+                selected = shard_items(
+                    selected, args.shard, key=lambda scenario: scenario.name
+                )
+                if not selected:
+                    print(
+                        f"shard {args.shard.label}: no scenarios assigned; nothing to do"
+                    )
+                    return 0
+            if args.no_isolated:
+                # Serving specs have no isolated-baseline phase; leave them as-is.
+                def _strip(spec):
+                    if hasattr(spec, "include_isolated"):
+                        return dc_replace(spec, include_isolated=False)
+                    return spec
+
+                selected = [
+                    dc_replace(
+                        scenario,
+                        spec=_strip(scenario.spec),
+                        extra_specs=tuple(_strip(s) for s in scenario.extra_specs),
+                    )
+                    for scenario in selected
+                ]
+            if args.config != "paper" and args.results_dir == Path("results"):
+                # Same guard as `figures`: results/ holds the committed
+                # paper-config golden tables.
                 print(
-                    f"shard {args.shard.label}: no scenarios assigned; nothing to do"
+                    "error: --config small would overwrite the paper-config tables "
+                    "in results/; pass an explicit --results-dir",
+                    file=sys.stderr,
                 )
-                return 0
-        if args.no_isolated:
-            # Serving specs have no isolated-baseline phase; leave them as-is.
-            def _strip(spec):
-                if hasattr(spec, "include_isolated"):
-                    return dc_replace(spec, include_isolated=False)
-                return spec
-
-            selected = [
-                dc_replace(
-                    scenario,
-                    spec=_strip(scenario.spec),
-                    extra_specs=tuple(_strip(s) for s in scenario.extra_specs),
+                return 2
+            if args.fabric not in (None, "none") and args.results_dir == Path("results"):
+                print(
+                    "error: --fabric other than `none` would overwrite the "
+                    "committed direct-path tables in results/; pass an explicit "
+                    "--results-dir",
+                    file=sys.stderr,
                 )
-                for scenario in selected
-            ]
-        if args.config != "paper" and args.results_dir == Path("results"):
-            # Same guard as `figures`: results/ holds the committed
-            # paper-config golden tables.
-            print(
-                "error: --config small would overwrite the paper-config tables "
-                "in results/; pass an explicit --results-dir",
-                file=sys.stderr,
-            )
-            return 2
-        if args.fabric not in (None, "none") and args.results_dir == Path("results"):
-            print(
-                "error: --fabric other than `none` would overwrite the "
-                "committed direct-path tables in results/; pass an explicit "
-                "--results-dir",
-                file=sys.stderr,
-            )
-            return 2
-        try:
-            paths = generate_scenarios(provider, selected, args.results_dir)
-        except FleetError as error:
-            print(f"error: {error}", file=sys.stderr)
-            print(
-                "completed scenarios were journalled; rerun with --resume to "
-                "continue where this sweep stopped",
-                file=sys.stderr,
-            )
-            return 1
-        for path in paths:
-            print(f"wrote {path}")
-    _print_stats(provider, time.perf_counter() - started)
+                return 2
+            try:
+                paths = generate_scenarios(provider, selected, args.results_dir)
+            except FleetError as error:
+                print(f"error: {error}", file=sys.stderr)
+                print(
+                    "completed scenarios were journalled; rerun with --resume to "
+                    "continue where this sweep stopped",
+                    file=sys.stderr,
+                )
+                return 1
+            for path in paths:
+                print(f"wrote {path}")
+        _print_stats(provider, time.perf_counter() - started)
     return 0
 
 
@@ -1089,8 +949,7 @@ def cmd_backends(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_axis_tables() -> List[str]:
-    """The policy/kernel/pump axis tables (the historical ``policies`` output)."""
+def _policy_table() -> str:
     from repro.memctrl.policies import (
         available_policies,
         normalize_policy_name,
@@ -1107,62 +966,11 @@ def _policy_axis_tables() -> List[str]:
         }
         for name in available_policies()
     ]
-    tables = [
-        format_table(
-            rows,
-            columns=["policy", "default", "description"],
-            title="Registered memory-scheduler policies",
-        )
-    ]
-
-    from repro.memctrl.kernel import available_kernels
-
-    kernel_default = MemCtrlConfig().kernel
-    kernel_blurbs = {
-        "object": "batched per-object service kernel (PR 4)",
-        "soa": "struct-of-arrays burst kernel: vectorized decode, columnar "
-        "completions (bit-identical to object)",
-    }
-    kernel_rows = [
-        {
-            "kernel": name,
-            "default": "yes" if name == kernel_default else "",
-            "description": kernel_blurbs.get(name, ""),
-        }
-        for name in available_kernels()
-    ]
-    tables.append(
-        format_table(
-            kernel_rows,
-            columns=["kernel", "default", "description"],
-            title="Registered DRAM service kernels (--kernel)",
-        )
+    return format_table(
+        rows,
+        columns=["policy", "default", "description"],
+        title="Registered memory-scheduler policies",
     )
-
-    from repro.memctrl.pump import available_pumps
-
-    pump_default = MemCtrlConfig().transfer_pump
-    pump_blurbs = {
-        "object": "per-chunk request submission (PR 2)",
-        "burst": "burst pump: vectorized AGU, whole in-flight windows as "
-        "request bursts (bit-identical to object)",
-    }
-    pump_rows = [
-        {
-            "pump": name,
-            "default": "yes" if name == pump_default else "",
-            "description": pump_blurbs.get(name, ""),
-        }
-        for name in available_pumps()
-    ]
-    tables.append(
-        format_table(
-            pump_rows,
-            columns=["pump", "default", "description"],
-            title="Registered transfer pumps (--transfer-pump)",
-        )
-    )
-    return tables
 
 
 def _fabric_table() -> str:
@@ -1185,217 +993,10 @@ def _fabric_table() -> str:
     )
 
 
-def cmd_policies(args: argparse.Namespace) -> int:
-    # Deprecated alias of `repro variants`, kept with byte-identical output
-    # (scripts parse it); the parser help is the only place that says so.
-    print("\n\n".join(_policy_axis_tables()))
-    return 0
-
-
 def cmd_variants(args: argparse.Namespace) -> int:
-    """All five variant axes: policies, kernels, pumps, backends, fabrics."""
-    tables = _policy_axis_tables() + [_backend_table(), _fabric_table()]
+    """All three variant axes: policies, backends, fabrics."""
+    tables = [_policy_table(), _backend_table(), _fabric_table()]
     print("\n\n".join(tables))
-    return 0
-
-
-def _paired_bench(args, selected, variants, rounds):
-    """Measure every variant with paired single-repeat rounds.
-
-    ``variants`` maps a display label to a ``(kernel, pump, fabric)`` triple.  The
-    aggregate margins between variants are a few percent, well inside the
-    wall-clock swing a busy runner shows between two multi-second
-    measurement phases, so measuring each variant in its own phase would
-    let machine noise decide any gate built on the result.  Instead,
-    single-repeat rounds alternate the variants back to back (same noise
-    window for all of them), and the fastest measurement per workload
-    across rounds wins -- the same fastest-wins protocol ``run_bench`` uses
-    for its own repeats.
-    """
-    from repro.exp.bench import merge_rerun, run_bench
-
-    def measure_round():
-        return {
-            label: run_bench(
-                quick=args.quick, names=selected, repeats=1,
-                kernel=kernel, transfer_pump=pump, fabric=fabric,
-            )
-            for label, (kernel, pump, fabric) in variants.items()
-        }
-
-    def fold(entries, fresh):
-        return {label: merge_rerun(entries[label], fresh[label]) for label in entries}
-
-    entries = measure_round()
-    for _ in range(rounds - 1):
-        entries = fold(entries, measure_round())
-    return entries, measure_round, fold
-
-
-def _bench_compare(args, selected, mode, started, axis) -> int:
-    """``--compare-kernels`` / ``--compare-pumps``: the faster-variant gate.
-
-    Runs the selected matrix under both values of one axis (service kernel
-    or transfer pump), checks the event counts match exactly (both axes are
-    bit-identical by construction, so a mismatch is a correctness bug, not
-    noise) and fails unless the optimized variant's aggregate events/sec
-    beats the baseline variant's.  Measurement is paired; see
-    :func:`_paired_bench`.
-    """
-    if axis == "kernel":
-        base_label, fast_label = "object", "soa"
-        variants = {
-            base_label: ("object", args.transfer_pump, "none"),
-            fast_label: ("soa", args.transfer_pump, "none"),
-        }
-    else:
-        base_label, fast_label = "object", "burst"
-        variants = {
-            base_label: (args.kernel, "object", "none"),
-            fast_label: (args.kernel, "burst", "none"),
-        }
-    rounds = args.repeats if args.repeats is not None else (2 if args.quick else 3)
-    rounds = max(rounds, 3)
-    entries, measure_round, fold = _paired_bench(args, selected, variants, rounds)
-    for label in variants:
-        rows = [
-            {"workload": name, **metrics}
-            for name, metrics in entries[label]["workloads"].items()
-        ]
-        print(
-            format_table(
-                rows,
-                columns=[
-                    "workload",
-                    "wall_s",
-                    "events",
-                    "events_per_sec",
-                ],
-                title=f"Hot-path bench ({mode} matrix, {axis}={label}, "
-                f"best of {rounds} paired rounds)",
-            )
-        )
-    base = entries[base_label]
-    fast = entries[fast_label]
-    mismatched = [
-        name
-        for name, metrics in base["workloads"].items()
-        if metrics["events"] != fast["workloads"][name]["events"]
-    ]
-    if mismatched:
-        print(
-            f"{axis.upper()} MISMATCH: event counts differ between {axis}s for "
-            + ", ".join(mismatched)
-            + f" -- the {axis}s must be bit-identical",
-            file=sys.stderr,
-        )
-        return 1
-
-    def report(attempt: str) -> float:
-        base_rate = base["aggregate"]["events_per_sec"]
-        fast_rate = fast["aggregate"]["events_per_sec"]
-        speedup = fast_rate / base_rate if base_rate > 0 else 0.0
-        print(
-            f"{axis} aggregate events/sec{attempt}: {base_label} "
-            f"{base_rate:.0f}, {fast_label} {fast_rate:.0f} "
-            f"(speedup {speedup:.3f}x); "
-            f"measured in {time.perf_counter() - started:.1f}s"
-        )
-        return speedup
-
-    if report("") <= 1.0:
-        # Same flake-relief spirit as the --check regression gate: add two
-        # more paired rounds and decide on the merged fastest-per-workload
-        # numbers before failing.
-        print(f"{axis} gate: adding two paired rounds (noise relief)")
-        for _ in range(2):
-            entries = fold(entries, measure_round())
-        base = entries[base_label]
-        fast = entries[fast_label]
-        if report(" (after relief rounds)") <= 1.0:
-            print(
-                f"{axis.upper()} GATE: the {fast_label} {axis} did not beat "
-                f"the {base_label} {axis}",
-                file=sys.stderr,
-            )
-            return 1
-    print(f"{axis} gate: {fast_label} beats {base_label}")
-    return 0
-
-
-def _bench_compare_fabric(args, selected, mode, started) -> int:
-    """``--compare-fabric``: the ``fabric=none`` pass-through overhead gate.
-
-    ``fabric="none"`` builds no fabric object -- every hot-path interposition
-    is a single ``is not None`` branch -- so a session that selects ``none``
-    explicitly runs the same code as the default configuration *by
-    construction* (see docs/performance.md).  The gate measures both in
-    paired rounds anyway: event counts must match exactly, and the
-    explicit-none aggregate events/sec must stay within 2% of the default's.
-    That bounds the interposition overhead empirically instead of taking the
-    by-construction argument on faith.
-    """
-    base_label, none_label = "default", "fabric-none"
-    variants = {
-        base_label: (args.kernel, args.transfer_pump, "none"),
-        none_label: (args.kernel, args.transfer_pump, "none"),
-    }
-    rounds = args.repeats if args.repeats is not None else (2 if args.quick else 3)
-    rounds = max(rounds, 3)
-    entries, measure_round, fold = _paired_bench(args, selected, variants, rounds)
-    for label in variants:
-        rows = [
-            {"workload": name, **metrics}
-            for name, metrics in entries[label]["workloads"].items()
-        ]
-        print(
-            format_table(
-                rows,
-                columns=["workload", "wall_s", "events", "events_per_sec"],
-                title=f"Hot-path bench ({mode} matrix, {label}, "
-                f"best of {rounds} paired rounds)",
-            )
-        )
-    base, explicit = entries[base_label], entries[none_label]
-    mismatched = [
-        name
-        for name, metrics in base["workloads"].items()
-        if metrics["events"] != explicit["workloads"][name]["events"]
-    ]
-    if mismatched:
-        print(
-            "FABRIC MISMATCH: event counts differ between the default and "
-            "fabric=none configurations for " + ", ".join(mismatched)
-            + " -- fabric=none must be bit-identical to the direct path",
-            file=sys.stderr,
-        )
-        return 1
-
-    def report(attempt: str) -> float:
-        base_rate = base["aggregate"]["events_per_sec"]
-        none_rate = explicit["aggregate"]["events_per_sec"]
-        ratio = none_rate / base_rate if base_rate > 0 else 0.0
-        print(
-            f"fabric aggregate events/sec{attempt}: {base_label} "
-            f"{base_rate:.0f}, {none_label} {none_rate:.0f} "
-            f"(ratio {ratio:.3f}); "
-            f"measured in {time.perf_counter() - started:.1f}s"
-        )
-        return ratio
-
-    if report("") < 0.98:
-        print("fabric gate: adding two paired rounds (noise relief)")
-        for _ in range(2):
-            entries = fold(entries, measure_round())
-        base, explicit = entries[base_label], entries[none_label]
-        if report(" (after relief rounds)") < 0.98:
-            print(
-                "FABRIC GATE: the fabric=none session fell below 98% of the "
-                "default configuration's aggregate events/sec",
-                file=sys.stderr,
-            )
-            return 1
-    print("fabric gate: fabric=none is within 2% of the default path")
     return 0
 
 
@@ -1410,7 +1011,6 @@ def cmd_bench(args: argparse.Namespace) -> int:
         profile_bench,
         regressing_workloads,
         run_bench,
-        with_baseline_ratio,
     )
 
     if args.list:
@@ -1427,28 +1027,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    compares = [args.compare_kernels, args.compare_pumps, args.compare_fabric]
-    if any(compares) and args.check:
+    fabric = args.fabric or "none"
+    if fabric != "none" and args.check:
+        # A mesh changes the event stream, so the committed-trajectory
+        # regression gate does not apply under it.
         print(
-            "error: --compare-kernels/--compare-pumps/--compare-fabric are "
-            "their own gates; do not combine them with --check",
-            file=sys.stderr,
-        )
-        return 2
-    if sum(compares) > 1:
-        print(
-            "error: compare one axis at a time (--compare-kernels holds the "
-            "pump fixed at --transfer-pump; --compare-pumps holds the kernel "
-            "fixed at --kernel; --compare-fabric holds both fixed)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.fabric != "none" and (any(compares) or args.check):
-        # A mesh changes the event stream, so neither the committed-trajectory
-        # regression gate nor the bit-identical compare gates apply under it.
-        print(
-            "error: --fabric other than `none` cannot be combined with "
-            "--check or the compare gates",
+            "error: --fabric other than `none` cannot be combined with --check",
             file=sys.stderr,
         )
         return 2
@@ -1464,69 +1048,14 @@ def cmd_bench(args: argparse.Namespace) -> int:
     mode = "quick" if args.quick else "full"
     path = args.json if args.json is not None else Path(BENCH_FILENAME)
     if args.profile:
-        report = profile_bench(
-            quick=args.quick, names=selected, kernel=args.kernel,
-            transfer_pump=args.transfer_pump, fabric=args.fabric,
-        )
+        report = profile_bench(quick=args.quick, names=selected, fabric=fabric)
         profile_name = "BENCH_profile-quick.txt" if args.quick else "BENCH_profile.txt"
         profile_path = path.parent / profile_name
         profile_path.write_text(report)
         print(f"wrote {profile_path}")
-    if args.compare_kernels:
-        return _bench_compare(args, selected, mode, started, "kernel")
-    if args.compare_pumps:
-        return _bench_compare(args, selected, mode, started, "pump")
-    if args.compare_fabric:
-        return _bench_compare_fabric(args, selected, mode, started)
-    baseline_entry = None
-    if args.baseline_kernel is not None or args.baseline_pump is not None:
-        # Same-invocation baseline: the entry and its baseline configuration
-        # are measured in paired rounds so the recorded ratio reflects code,
-        # not machine drift between two separate bench runs.
-        baseline = (
-            args.baseline_kernel or args.kernel,
-            args.baseline_pump or args.transfer_pump,
-            args.fabric,
-        )
-        variants = {
-            "entry": (args.kernel, args.transfer_pump, args.fabric),
-            "baseline": baseline,
-        }
-        rounds = args.repeats if args.repeats is not None else (2 if args.quick else 3)
-        rounds = max(rounds, 3)
-        entries, _, _ = _paired_bench(args, selected, variants, rounds)
-        entry, baseline_entry = entries["entry"], entries["baseline"]
-        mismatched = [
-            name
-            for name, metrics in entry["workloads"].items()
-            if metrics["events"] != baseline_entry["workloads"][name]["events"]
-        ]
-        if mismatched:
-            print(
-                "BASELINE MISMATCH: event counts differ from the baseline "
-                "configuration for " + ", ".join(mismatched)
-                + " -- kernels and pumps must be bit-identical",
-                file=sys.stderr,
-            )
-            return 1
-        # The paired fold reports best-of-rounds; "reran" is an artifact of
-        # reusing merge_rerun for the fold, not a flake-relief record.
-        entry.pop("reran", None)
-        entry["repeats"] = rounds
-        entry = with_baseline_ratio(entry, baseline_entry)
-        ratio = entry["baseline"]["ratio"]
-        print(
-            f"baseline (kernel={baseline[0]}, pump={baseline[1]}): "
-            f"{baseline_entry['aggregate']['events_per_sec']:.0f} events/sec; "
-            f"entry ratio {ratio:.3f}x" if ratio is not None else
-            "baseline rate was zero; no ratio recorded"
-        )
-    else:
-        entry = run_bench(
-            quick=args.quick, names=selected, repeats=args.repeats,
-            kernel=args.kernel, transfer_pump=args.transfer_pump,
-            fabric=args.fabric,
-        )
+    entry = run_bench(
+        quick=args.quick, names=selected, repeats=args.repeats, fabric=fabric
+    )
     if args.check:
         if args.names:
             print(
@@ -1548,10 +1077,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
                     f"{', '.join(suspects)} once to rule out runner noise",
                     file=sys.stderr,
                 )
-                rerun = run_bench(
-                    quick=args.quick, names=suspects, repeats=1,
-                    kernel=args.kernel, transfer_pump=args.transfer_pump,
-                )
+                rerun = run_bench(quick=args.quick, names=suspects, repeats=1)
                 entry = merge_rerun(entry, rerun)
                 failure = check_regression(document, entry)
     rows = [
@@ -1641,7 +1167,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "sweep": cmd_sweep,
         "scenarios": cmd_scenarios,
         "backends": cmd_backends,
-        "policies": cmd_policies,
         "variants": cmd_variants,
         "bench": cmd_bench,
         "clean-cache": cmd_clean_cache,

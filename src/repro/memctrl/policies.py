@@ -5,7 +5,7 @@ per issued command: *given this queue and this channel state, which request is
 served next?*  Policies are selected by the ``MemCtrlConfig.policy`` string
 (threaded through :class:`~repro.sim.config.SystemConfig`, the
 :class:`~repro.api.Session` facade, experiment specs and the CLI) and listed
-by ``repro policies``.
+by ``repro variants``.
 
 Registered policies
 -------------------
@@ -49,7 +49,7 @@ class SchedulerPolicy:
 
     #: Registry key (set on registration).
     name: str = "abstract"
-    #: One-line description shown by ``repro policies``.
+    #: One-line description shown by ``repro variants``.
     description: str = ""
 
     def select(
@@ -190,7 +190,7 @@ class QosPriorityPolicy(SchedulerPolicy):
 # ---------------------------------------------------------------------------
 
 #: The scheduler-policy axis on the shared variant-registry mechanism
-#: (``repro variants`` lists it alongside kernels, pumps, backends, fabrics).
+#: (``repro variants`` lists it alongside backends and fabrics).
 POLICIES = VariantRegistry(
     "scheduler policy",
     error=KeyError,

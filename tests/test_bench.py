@@ -54,7 +54,8 @@ def test_trajectory_round_trip(tmp_path):
         ("first", False),
     ]
     loaded = load_trajectory(path)
-    assert loaded == json.load(open(path))
+    with open(path) as handle:
+        assert loaded == json.load(handle)
 
 
 def test_check_regression_gate(tmp_path):

@@ -322,160 +322,75 @@ def test_sweep_resume_serves_journal(tmp_path, capsys):
     assert "journal hits: 1" in second
 
 
-# ---------------------------------------------------------------------------
-# The --compare-kernels gate (deterministic: run_bench is stubbed)
-# ---------------------------------------------------------------------------
-
-
-def _stub_paired_bench(monkeypatch, walls, events=None, axis="kernel"):
-    """Replace ``run_bench`` with a scripted fake.
-
-    ``walls`` maps variant label -- the kernel name for ``--compare-kernels``
-    (``axis="kernel"``), the pump name for ``--compare-pumps``
-    (``axis="pump"``) -- to the wall-clock each successive call should
-    report (popped front-to-back); ``events`` optionally overrides the event
-    count per variant.  Returns the list of variants in call order, so tests
-    can assert the measurement really is paired (baseline/optimized
-    alternating) rather than phase-separated.
-    """
-    import repro.exp.bench as bench_mod
-
-    calls = []
-
-    def fake_run_bench(
-        quick=False, names=None, repeats=None, kernel="object",
-        transfer_pump="object", fabric="none",
+def test_variant_flags_are_validated_at_parse_time(capsys):
+    parser = build_parser()
+    for argv in (
+        ["figures", "--fabric", "torus:4x4"],
+        ["sweep", "--fabric", "torus:4x4"],
+        ["scenarios", "--fabric", "torus:4x4"],
+        ["bench", "--fabric", "torus:4x4"],
+        ["sweep", "--policy", "nope"],
+        ["scenarios", "--policy", "frfcfs_cap:many"],
     ):
-        label = kernel if axis == "kernel" else transfer_pump
-        calls.append(label)
-        wall = walls[label].pop(0)
-        count = (events or {}).get(label, 1000)
-        metrics = {
-            "wall_s": wall,
-            "events": count,
-            "events_per_sec": round(count / wall, 1),
-            "wall_spread_pct": 0.0,
-        }
-        return {
-            "quick": quick,
-            "repeats": repeats,
-            "kernel": kernel,
-            "transfer_pump": transfer_pump,
-            "fabric": fabric,
-            "workloads": {"w": metrics},
-            "aggregate": {
-                "wall_s": wall,
-                "events": count,
-                "events_per_sec": round(count / wall, 1),
-            },
-        }
-
-    monkeypatch.setattr(bench_mod, "run_bench", fake_run_bench)
-    return calls
+        with pytest.raises(SystemExit):
+            parser.parse_args(argv)
+        assert "argument --" in capsys.readouterr().err
+    args = parser.parse_args(["bench", "--fabric", "mesh:4x4"])
+    assert args.fabric == "mesh:4x4"
 
 
-def test_compare_kernels_paired_rounds_pass(monkeypatch, capsys):
-    calls = _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0, 1.1, 1.2], "soa": [0.9, 1.0, 1.1]},
-    )
-    assert main(["bench", "--quick", "--compare-kernels", "--no-write"]) == 0
-    # Three paired rounds, kernels alternating inside each round.
-    assert calls == ["object", "soa"] * 3
-    out = capsys.readouterr().out
-    assert "kernel gate: soa beats object" in out
-    assert "noise relief" not in out
+def _record_journals(monkeypatch):
+    """Make the CLI's FleetJournal instances observable to the test."""
+    import repro.exp.cli as cli
+
+    journals = []
+
+    class RecordingJournal(cli.FleetJournal):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            journals.append(self)
+
+    monkeypatch.setattr(cli, "FleetJournal", RecordingJournal)
+    return journals
 
 
-def test_compare_kernels_relief_rounds_rescue(monkeypatch, capsys):
-    # SoA loses the first three rounds, then wins in the relief rounds:
-    # fastest-per-workload across all five rounds decides the gate.
-    calls = _stub_paired_bench(
-        monkeypatch,
-        walls={
-            "object": [1.0, 1.0, 1.0, 1.0, 1.0],
-            "soa": [1.2, 1.2, 1.2, 0.8, 1.2],
-        },
-    )
-    assert main(["bench", "--quick", "--compare-kernels", "--no-write"]) == 0
-    assert calls == ["object", "soa"] * 5
-    out = capsys.readouterr().out
-    assert "noise relief" in out
-    assert "kernel gate: soa beats object" in out
+def test_sweep_closes_its_journal(tmp_path, monkeypatch):
+    journals = _record_journals(monkeypatch)
+    argv = [
+        "sweep", "--config", "small", "--design-point", "base",
+        "--direction", "d2p", "--size", "64KiB", "--sim-cap", "64KiB",
+        "--results-dir", str(tmp_path / "results"), "--no-cache",
+    ]
+    assert main(argv) == 0
+    (journal,) = journals
+    assert len(journal) == 1  # the run streamed one record...
+    assert journal._handle is None  # ...and left no file handle open
 
 
-def test_compare_kernels_fails_when_soa_stays_slower(monkeypatch, capsys):
-    _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0] * 5, "soa": [1.3] * 5},
-    )
-    assert main(["bench", "--quick", "--compare-kernels", "--no-write"]) == 1
-    captured = capsys.readouterr()
-    assert "KERNEL GATE" in captured.err
+def test_figures_closes_its_journal_on_error(tmp_path, monkeypatch):
+    import repro.exp.cli as cli
+    from repro.exp.spec import TransferSpec
+    from repro.transfer.descriptor import TransferDirection
 
+    journals = _record_journals(monkeypatch)
 
-def test_compare_kernels_event_mismatch_is_a_correctness_failure(
-    monkeypatch, capsys
-):
-    # A faster SoA run must still fail if the event counts diverge: the
-    # kernels are bit-identical by construction, so a mismatch is a bug.
-    _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0] * 3, "soa": [0.5] * 3},
-        events={"object": 1000, "soa": 999},
-    )
-    assert main(["bench", "--quick", "--compare-kernels", "--no-write"]) == 1
-    captured = capsys.readouterr()
-    assert "KERNEL MISMATCH" in captured.err
+    def failing_generate(provider, figures, results_dir):
+        provider.run(
+            TransferSpec(
+                DesignPoint.BASELINE, TransferDirection.DRAM_TO_PIM,
+                64 * KIB, sim_cap_bytes=64 * KIB,
+            )
+        )
+        raise RuntimeError("figure failed")
 
-
-def test_compare_kernels_rejects_check_combination(capsys):
-    assert main(["bench", "--compare-kernels", "--check", "--no-write"]) == 2
-    assert "their own gates" in capsys.readouterr().err
-
-
-def test_compare_pumps_paired_rounds_pass(monkeypatch, capsys):
-    calls = _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0, 1.1, 1.2], "burst": [0.9, 1.0, 1.1]},
-        axis="pump",
-    )
-    assert main(["bench", "--quick", "--compare-pumps", "--no-write"]) == 0
-    # Three paired rounds, pumps alternating inside each round.
-    assert calls == ["object", "burst"] * 3
-    out = capsys.readouterr().out
-    assert "pump gate: burst beats object" in out
-    assert "noise relief" not in out
-
-
-def test_compare_pumps_event_mismatch_is_a_correctness_failure(
-    monkeypatch, capsys
-):
-    # The pumps are bit-identical by construction: a faster burst run must
-    # still fail the gate if the event counts diverge.
-    _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0] * 3, "burst": [0.5] * 3},
-        events={"object": 1000, "burst": 999},
-        axis="pump",
-    )
-    assert main(["bench", "--quick", "--compare-pumps", "--no-write"]) == 1
-    captured = capsys.readouterr()
-    assert "PUMP MISMATCH" in captured.err
-
-
-def test_compare_pumps_fails_when_burst_stays_slower(monkeypatch, capsys):
-    _stub_paired_bench(
-        monkeypatch,
-        walls={"object": [1.0] * 5, "burst": [1.3] * 5},
-        axis="pump",
-    )
-    assert main(["bench", "--quick", "--compare-pumps", "--no-write"]) == 1
-    assert "PUMP GATE" in capsys.readouterr().err
-
-
-def test_compare_axes_are_mutually_exclusive(capsys):
-    assert main(
-        ["bench", "--compare-kernels", "--compare-pumps", "--no-write"]
-    ) == 2
-    assert "one axis at a time" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "generate_figures", failing_generate)
+    with pytest.raises(RuntimeError, match="figure failed"):
+        main(
+            [
+                "figures", "--fast", "--config", "small", "--no-cache",
+                "--results-dir", str(tmp_path / "results"),
+            ]
+        )
+    (journal,) = journals
+    assert len(journal) == 1
+    assert journal._handle is None

@@ -152,3 +152,34 @@ class TestPimMmuRuntime:
         )
         result = runtime.pim_mmu_transfer(op)
         assert result.pim_write_bytes == 4 * 256
+
+    def test_old_quickstart_path_matches_session_transfer(self, small_config):
+        """build_system + PimMmuRuntime produce the numbers Session.transfer does."""
+        from repro import Session
+
+        cores = small_config.num_pim_cores
+        size_per_core = 2048
+        total = cores * size_per_core
+
+        system = build_system(config=small_config, design_point=DesignPoint.BASE_DHP)
+        runtime = PimMmuRuntime(system)
+        op = runtime.build_contiguous_op(
+            TransferDirection.DRAM_TO_PIM,
+            size_per_pim=size_per_core,
+            pim_core_ids=range(cores),
+            dram_base=0,
+        )
+        legacy = runtime.pim_mmu_transfer(op)
+
+        with Session.open(config=small_config) as session:
+            modern = session.transfer(total_bytes=total, sim_cap_bytes=total)
+
+        raw = modern.raw.result
+        assert raw.descriptor == legacy.descriptor
+        assert raw.start_ns == legacy.start_ns
+        assert raw.end_ns == legacy.end_ns
+        assert raw.cpu_core_busy_ns == legacy.cpu_core_busy_ns
+        assert raw.pim_write_bytes == legacy.pim_write_bytes
+        assert raw.per_channel_pim_bytes == legacy.per_channel_pim_bytes
+        assert modern.duration_ns == legacy.duration_ns
+        assert modern.throughput_gbps == legacy.throughput_gbps

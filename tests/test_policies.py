@@ -19,6 +19,7 @@ from repro.memctrl.policies import (
     parse_qos_priorities,
 )
 from repro.memctrl.request import MemoryRequest
+from repro.registry import Variants
 from repro.sim.config import DesignPoint, MemCtrlConfig, MemoryDomainConfig, SystemConfig
 
 GEOMETRY = MemoryDomainConfig.paper_dram()
@@ -179,7 +180,7 @@ class TestPolicyKnob:
         with Session.open(
             config=SystemConfig.small_test(),
             design_point=DesignPoint.BASE_DHP,
-            memctrl_policy="frfcfs_cap:2",
+            variants=Variants(policy="frfcfs_cap:2"),
         ) as session:
             assert session.config.memctrl.policy == "frfcfs_cap:2"
             result = session.transfer(total_bytes=64 * 1024)
@@ -193,7 +194,8 @@ class TestPolicyKnob:
 
         with pytest.raises(KeyError):
             Session.open(
-                config=SystemConfig.small_test(), memctrl_policy="does-not-exist"
+                config=SystemConfig.small_test(),
+                variants=Variants(policy="does-not-exist"),
             )
 
     def test_builder_policy(self):

@@ -10,17 +10,15 @@ over a long replay, plus ever-slower ``oldest_hit`` scans over dead banks.
 This was investigated as a suspected leak; empirically ``remove()`` already
 evicts (max dead buckets observed over 50k requests: zero).  This test pins
 that behaviour: it replays 50k random-address requests through a real
-controller under each service kernel and asserts, at sampled completion
-points, that the index carries no empty buckets and exactly one entry per
-pending request -- and that everything is empty once the controller drains.
+controller and asserts, at sampled completion points, that the index carries
+no empty buckets and exactly one entry per pending request -- and that
+everything is empty once the controller drains.
 """
 
 from __future__ import annotations
 
 import random
 from functools import partial
-
-import pytest
 
 from repro.dram.channel import DdrChannel
 from repro.mapping.locality import locality_centric_mapping
@@ -53,12 +51,10 @@ def _index_shape(queue):
     )
 
 
-@pytest.mark.parametrize("kernel", ["object", "soa"])
-def test_index_stays_bounded_over_50k_replay(kernel):
+def test_index_stays_bounded_over_50k_replay():
     geometry = MemoryDomainConfig.paper_dram()
     memctrl = MemCtrlConfig(
         policy="frfcfs",
-        kernel=kernel,
         read_queue_depth=64,
         write_queue_depth=64,
         write_high_watermark=48,
