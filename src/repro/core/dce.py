@@ -26,7 +26,16 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Deque, Dict, Iterator, Optional
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Container,
+    Deque,
+    Dict,
+    Hashable,
+    Iterator,
+    Optional,
+)
 
 from repro.core.pim_ms import PimAwareScheduler, ScheduledAccess
 from repro.memctrl.request import MemoryRequest, RequestStream
@@ -36,6 +45,105 @@ from repro.transfer.result import TransferResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (system imports HetMap)
     from repro.system import PimSystem
+
+
+class TargetFifos:
+    """Per-target FIFOs of parked requests, kept in one global rank order.
+
+    Every appended entry is stamped with the next rank of a single counter, so
+    each target's FIFO is sorted by rank and the union of all FIFOs reads, in
+    rank order, exactly like one deque with appends at its tail.  A
+    :meth:`drain` pass walks that merged order through only the *heads* of
+    targets that can accept work: a target that is blocked, or whose head is
+    rejected, keeps all of its entries without any of them being visited.
+    """
+
+    __slots__ = ("_fifos", "_rank", "count")
+
+    def __init__(self) -> None:
+        self._fifos: Dict[Hashable, Deque[tuple]] = {}
+        self._rank = 0
+        #: Entries parked, across all targets (an attribute, not ``__len__``:
+        #: the pump reads it once per pulled access).
+        self.count = 0
+
+    def __iter__(self) -> Iterator[tuple]:
+        """``(key, item)`` pairs in rank order, the order a pass offers them."""
+        entries = sorted(
+            (rank, key, item) for key, fifo in self._fifos.items() for rank, item in fifo
+        )
+        return ((key, item) for _, key, item in entries)
+
+    def clear(self) -> None:
+        self._fifos.clear()
+        self._rank = 0
+        self.count = 0
+
+    def append(self, key: Hashable, item: object) -> None:
+        """Park ``item`` for target ``key`` behind every entry parked so far."""
+        fifo = self._fifos.get(key)
+        if fifo is None:
+            fifo = self._fifos[key] = deque()
+        fifo.append((self._rank, item))
+        self._rank += 1
+        self.count += 1
+
+    def drain(
+        self,
+        submit: Callable[[Hashable, object], bool],
+        blocked: Container[Hashable],
+        budget: Optional[int] = None,
+    ) -> None:
+        """Offer parked entries to ``submit(key, item)`` in rank order.
+
+        Targets in ``blocked`` are skipped, and so is a target for the rest of
+        the pass once ``submit`` rejects its head; accepted entries leave
+        their FIFO.  After ``budget`` accepted submits (``None``: no limit)
+        the pass stops, and the entries it skipped -- the survivors ranked
+        below the last accepted one -- are re-stamped behind all others.
+        That is the order a single deque leaves when one pass over it rotates
+        skipped entries to the back and stops part-way through.
+        """
+        if budget is not None and budget <= 0:
+            return
+        fifos = self._fifos
+        heap = [(fifo[0][0], key) for key, fifo in fifos.items() if key not in blocked]
+        if not heap:
+            return
+        heapq.heapify(heap)
+        while heap:
+            rank, key = heapq.heappop(heap)
+            fifo = fifos[key]
+            if not submit(key, fifo[0][1]):
+                continue
+            fifo.popleft()
+            self.count -= 1
+            if fifo:
+                heapq.heappush(heap, (fifo[0][0], key))
+            else:
+                del fifos[key]
+            if budget is not None:
+                budget -= 1
+                if not budget:
+                    self._restamp_below(rank)
+                    return
+
+    def _restamp_below(self, rank: int) -> None:
+        """Move every entry ranked below ``rank`` behind all others, in order.
+
+        One shift for all of them keeps their relative order and lifts them
+        above every rank handed out so far, so no sort is needed.
+        """
+        fifos = self._fifos
+        lowest = min((fifo[0][0] for fifo in fifos.values()), default=rank)
+        if lowest >= rank:
+            return  # nothing ranked below ``rank`` is left
+        shift = self._rank - lowest
+        for fifo in fifos.values():
+            while fifo[0][0] < rank:
+                entry_rank, item = fifo.popleft()
+                fifo.append((entry_rank + shift, item))
+        self._rank += rank - lowest
 
 
 class DataCopyEngine:
@@ -51,29 +159,16 @@ class DataCopyEngine:
         self._descriptor: Optional[TransferDescriptor] = None
         self._max_in_flight = self.max_in_flight
         self._in_flight = 0
-        self._writes_outstanding = 0
         self._completed_chunks = 0
         self._total_chunks = 0
-        # Parked writes, grouped per target (domain, channel, direction) key.
-        # Each deque holds (park_seq, access, request) triples in FIFO order;
-        # the park_seq preserves the *global* arrival order across targets, so
-        # a retry pass attempts parked writes in exactly the order the seed's
-        # single rotated deque did -- without touching the entries whose
-        # target is already known to be full.  (The write pass never returns
-        # early, so a full pass preserves relative order; the read pass *can*
-        # return early mid-pass, which leaves the seed's deque rotated, so
-        # deferred reads keep the seed's single-deque form.)  Requests are
-        # built (and pre-decoded) once when first parked, never again.
-        self._parked_writes: Dict[tuple, Deque[tuple]] = {}
-        self._deferred_reads: Deque[tuple] = deque()
-        #: Multiset of target keys present in the deferred-read deque, so a
-        #: pump can prove in O(#channels) that the whole retry pass would be
-        #: a no-op (every represented target still full).
-        self._deferred_keys: Dict[tuple, int] = {}
-        self._park_seq = 0
-        self._retry_channels: set = set()
+        # Requests waiting for room in their target (domain, channel,
+        # direction) queue: built and pre-decoded once, when first parked.
+        self._parked_writes = TargetFifos()
+        self._deferred_reads = TargetFifos()
+        #: Targets whose slot-listener retry has not fired yet.  Such a queue
+        #: is provably still full: every freed slot fires its listeners.
+        self._retry_targets: set = set()
         self._done = False
-        self._finish_ns = 0.0
         self.offsets: Dict[int, int] = {}
         # Completion plumbing shared by the blocking and non-blocking paths.
         self._result: Optional[TransferResult] = None
@@ -97,25 +192,6 @@ class DataCopyEngine:
     def address_buffer_capacity_ok(self, descriptor: TransferDescriptor) -> bool:
         """True if the descriptor fits the 64 KB address buffer in one shot."""
         return descriptor.num_cores <= self.config.address_buffer_entries
-
-    # -------------------------------------------------------------- addressing
-    def _source_addr(self, access: ScheduledAccess) -> int:
-        assert self._descriptor is not None
-        offset = access.chunk_index * CACHE_LINE_BYTES
-        if self._descriptor.direction is TransferDirection.DRAM_TO_PIM:
-            return self._descriptor.dram_base_addrs[access.descriptor_index] + offset
-        return self.system.pim_heap_addr(
-            access.pim_core_id, self._descriptor.pim_heap_offset + offset
-        )
-
-    def _dest_addr(self, access: ScheduledAccess) -> int:
-        assert self._descriptor is not None
-        offset = access.chunk_index * CACHE_LINE_BYTES
-        if self._descriptor.direction is TransferDirection.DRAM_TO_PIM:
-            return self.system.pim_heap_addr(
-                access.pim_core_id, self._descriptor.pim_heap_offset + offset
-            )
-        return self._descriptor.dram_base_addrs[access.descriptor_index] + offset
 
     # ----------------------------------------------------------------- execute
     def begin(
@@ -143,12 +219,9 @@ class DataCopyEngine:
         self._total_chunks = descriptor.num_cores * descriptor.chunks_per_core
         self._completed_chunks = 0
         self._in_flight = 0
-        self._writes_outstanding = 0
         self._parked_writes.clear()
         self._deferred_reads.clear()
-        self._deferred_keys.clear()
-        self._park_seq = 0
-        self._retry_channels.clear()
+        self._retry_targets.clear()
         self._done = False
         self._result = None
         self._on_complete = on_complete
@@ -237,106 +310,45 @@ class DataCopyEngine:
         Unlike a software thread (which processes its chunks strictly in
         order), PIM-MS keeps visibility over *all* pending work and never lets
         a single full queue stall the rest of the transfer: blocked writes and
-        blocked reads are parked per target channel and the engine keeps
-        issuing work to the channels that still have room.  This skip-ahead
-        behaviour is the "fine-grained hardware scheduling" of §IV-D.
+        blocked reads are parked per target queue and the engine keeps issuing
+        work to the queues that still have room.  This skip-ahead behaviour is
+        the "fine-grained hardware scheduling" of §IV-D.
         """
         if self._done:
             return
         max_in_flight = self._max_in_flight
-        system = self.system
-        # Targets observed full during this pass are abandoned immediately;
-        # the per-target parking means their other parked entries are never
-        # even visited (the seed rotated every parked entry through a deque
-        # on every pass).  A key still awaiting its slot-listener retry is
-        # *provably* full -- any freed slot fires the retry (which clears the
-        # key) before control returns here -- so attempts on it are the
-        # no-ops the seed performed and can be skipped outright.
-        retry_channels = self._retry_channels
-        full_targets: set = set()
-        # 1. Drain data-buffer entries whose write can now be enqueued, in
-        # global park order across targets (min-heap over per-target heads).
-        parked_writes = self._parked_writes
-        if parked_writes and any(
-            key not in retry_channels for key in parked_writes
-        ):
-            heap = [(dq[0][0], key) for key, dq in parked_writes.items()]
-            heapq.heapify(heap)
-            while heap:
-                _, key = heapq.heappop(heap)
-                if key in retry_channels or key in full_targets:
-                    continue
-                dq = parked_writes[key]
-                entry = dq[0]
-                if self._submit_write(entry[1], request=entry[2]):
-                    dq.popleft()
-                    if dq:
-                        heapq.heappush(heap, (dq[0][0], key))
-                    else:
-                        del parked_writes[key]
-                else:
-                    full_targets.add(key)
-        # 2. Retry reads that were previously blocked on a full read queue.
-        # The seed's rotation semantics are kept exactly: a mid-pass window
-        # stall leaves the unprocessed tail ahead of this pass's skipped
-        # entries for the next pass.
+        retry_targets = self._retry_targets
+        # 1. Drain data-buffer entries whose write can now be enqueued, oldest
+        # first across targets.  Targets awaiting a retry are full, so their
+        # entries are not even visited.
+        if self._parked_writes.count:
+            self._parked_writes.drain(self._submit_write, retry_targets)
+        # 2. Retry reads that were previously blocked on a full read queue,
+        # oldest first, until the data buffer is full.  A pass the full
+        # buffer cuts short leaves the reads it skipped behind the ones it
+        # never reached (TargetFifos.drain re-stamps them).
         deferred = self._deferred_reads
-        if deferred and not all(
-            key in retry_channels or key in full_targets
-            for key in self._deferred_keys
-        ):
-            # In-place rotation pass: process exactly the entries present at
-            # pass start; skipped (blocked) entries rotate to the back, so at
-            # every point the deque reads [unprocessed tail..., skipped...] --
-            # which is precisely the order a window stall must leave behind
-            # (the seed's snapshot-and-rebuild produced the same sequence,
-            # with two list copies per pump that this avoids).
-            deferred_keys = self._deferred_keys
-            for _ in range(len(deferred)):
-                if self._in_flight >= max_in_flight:
-                    return
-                entry = deferred[0]
-                key = entry[1]
-                if key in retry_channels or key in full_targets:
-                    deferred.rotate(-1)
-                    continue
-                if self._submit_read(entry[0], request=entry[2]):
-                    deferred.popleft()
-                    count = deferred_keys[key] - 1
-                    if count:
-                        deferred_keys[key] = count
-                    else:
-                        del deferred_keys[key]
-                else:
-                    full_targets.add(key)
-                    deferred.rotate(-1)
+        if deferred.count:
+            deferred.drain(
+                self._submit_read, retry_targets, max_in_flight - self._in_flight
+            )
         # 3. Pull new accesses from the PIM-MS schedule.
         iterator = self._iterator
-        while self._in_flight < max_in_flight and len(deferred) < max_in_flight:
-            assert iterator is not None
+        assert iterator is not None
+        submit = self.system.submit
+        while self._in_flight < max_in_flight and deferred.count < max_in_flight:
             access = next(iterator, None)
             if access is None:
                 return
             request = self._build_request(access, is_write=False)
             key = self._target_key(request)
-            if key in retry_channels or key in full_targets:
-                deferred.append((access, key, request))
-                self._deferred_keys[key] = self._deferred_keys.get(key, 0) + 1
-                continue
-            if not system.submit(request):
+            if key in retry_targets:
+                deferred.append(key, request)
+            elif submit(request):
+                self._in_flight += 1
+            else:
                 self._register_retry(request, key)
-                full_targets.add(key)
-                deferred.append((access, key, request))
-                self._deferred_keys[key] = self._deferred_keys.get(key, 0) + 1
-                continue
-            self._in_flight += 1
-
-    def _park_write(self, key: tuple, access: ScheduledAccess, request: MemoryRequest) -> None:
-        dq = self._parked_writes.get(key)
-        if dq is None:
-            dq = self._parked_writes[key] = deque()
-        dq.append((self._park_seq, access, request))
-        self._park_seq += 1
+                deferred.append(key, request)
 
     def _build_request(self, access: ScheduledAccess, is_write: bool) -> MemoryRequest:
         """Create and pre-decode one request so its target channel is known."""
@@ -357,10 +369,10 @@ class DataCopyEngine:
             phys_addr = descriptor.dram_base_addrs[access.descriptor_index] + offset
             domain, dram_addr = self.system.decode(phys_addr)
         if is_write:
-            on_complete = partial(self._write_completed, access)
+            on_complete = partial(self._on_write_complete, access)
             stream = RequestStream.TRANSFER_WRITE
         else:
-            on_complete = partial(self._read_completed, access)
+            on_complete = partial(self._on_read_complete, access)
             stream = RequestStream.TRANSFER_READ
         # Positional construction: this runs once per transferred cache line.
         request = MemoryRequest(
@@ -371,42 +383,32 @@ class DataCopyEngine:
         request.dram_addr = dram_addr
         return request
 
-    def _read_completed(self, access: ScheduledAccess, request: MemoryRequest) -> None:
-        self._on_read_complete(access)
-
-    def _write_completed(self, access: ScheduledAccess, request: MemoryRequest) -> None:
-        self._on_write_complete(access)
-
     @staticmethod
     def _target_key(request: MemoryRequest) -> tuple:
         assert request.dram_addr is not None
         return (request.domain, request.dram_addr.channel, request.is_write)
 
-    def _submit_read(
-        self, access: ScheduledAccess, request: Optional[MemoryRequest] = None
-    ) -> bool:
-        """Try to issue the read of ``access`` (reusing a parked request)."""
-        if request is None:
-            request = self._build_request(access, is_write=False)
+    def _submit_read(self, key: tuple, request: MemoryRequest) -> bool:
+        """Try to issue a parked read."""
         if not self.system.submit(request):
-            self._register_retry(request, self._target_key(request))
+            self._register_retry(request, key)
             return False
         self._in_flight += 1
         return True
 
     def _register_retry(self, request: MemoryRequest, key: tuple) -> None:
         """Ask for a wake-up when the full queue that rejected ``request`` drains."""
-        if key in self._retry_channels:
+        if key in self._retry_targets:
             return
-        self._retry_channels.add(key)
+        self._retry_targets.add(key)
 
         def retry() -> None:
-            self._retry_channels.discard(key)
+            self._retry_targets.discard(key)
             self._pump()
 
         self.system.retry_when_possible(request, retry)
 
-    def _on_read_complete(self, access: ScheduledAccess) -> None:
+    def _on_read_complete(self, access: ScheduledAccess, request: MemoryRequest) -> None:
         # Step 5: the preprocessing unit transposes the line on the fly.
         engine = self.system.engine
         engine.schedule_callback(
@@ -417,49 +419,41 @@ class DataCopyEngine:
     def _after_preprocess(self, access: ScheduledAccess) -> None:
         request = self._build_request(access, is_write=True)
         key = self._target_key(request)
-        if key in self._retry_channels:
-            # The target queue is provably still full (its retry listener has
-            # not fired); park straight away instead of a doomed submit.
-            self._park_write(key, access, request)
-        elif self._submit_write(access, request=request):
+        # A target awaiting its retry is provably still full: park straight
+        # away instead of a doomed submit.
+        if key not in self._retry_targets and self._submit_write(key, request):
             self._pump()
         else:
-            self._park_write(key, access, request)
+            self._parked_writes.append(key, request)
 
-    def _submit_write(
-        self, access: ScheduledAccess, request: Optional[MemoryRequest] = None
-    ) -> bool:
-        """Try to issue the write of ``access`` (reusing a parked request)."""
-        if request is None:
-            request = self._build_request(access, is_write=True)
+    def _submit_write(self, key: tuple, request: MemoryRequest) -> bool:
+        """Try to issue the write of a data-buffer entry."""
         if not self.system.submit(request):
-            self._register_retry(request, self._target_key(request))
+            self._register_retry(request, key)
             return False
         # The chunk has left the data buffer for the controller's write queue
         # (step 7 of Figure 11): its data-buffer slot frees immediately --
         # writes are posted -- so the read pipeline keeps streaming.
         self._in_flight -= 1
-        self._writes_outstanding += 1
         return True
 
-    def _on_write_complete(self, access: ScheduledAccess) -> None:
-        self._writes_outstanding -= 1
+    def _on_write_complete(self, access: ScheduledAccess, request: MemoryRequest) -> None:
         self._completed_chunks += 1
         self.offsets[access.pim_core_id] = self.offsets.get(access.pim_core_id, 0) + CACHE_LINE_BYTES
         if self._completed_chunks >= self._total_chunks:
             self._done = True
-            self._finish_ns = self.system.now
+            finish_ns = self.system.now
             # Interrupt handling wakes the sleeping user thread briefly;
             # result assembly happens only once the interrupt has been
             # delivered, so a subsequent transfer cannot start before it.
-            end_ns = self._finish_ns + self.config.interrupt_latency_ns
-            self.system.cpu.record_busy_interval(self._finish_ns, end_ns)
+            end_ns = finish_ns + self.config.interrupt_latency_ns
+            self.system.cpu.record_busy_interval(finish_ns, end_ns)
             self.system.engine.schedule_at(end_ns, self._finalize)
         # A completed *write* changes no pump-gating state: the data-buffer
         # slot freed when the write was submitted (writes are posted), and
-        # every blocked target key holds a slot-listener retry that pumps the
-        # moment its queue frees.  The seed pumped here anyway; every attempt
-        # in that pump provably failed, so it is elided.
+        # every blocked target holds a slot-listener retry that pumps the
+        # moment its queue frees, so a pump here could only make submits
+        # that are bound to fail.
 
 
 __all__ = ["DataCopyEngine"]

@@ -19,6 +19,7 @@ bounded.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Deque, Optional
 
 from repro.memctrl.request import MemoryRequest, RequestStream
@@ -66,10 +67,15 @@ class SoftwareCopyThread:
         #: Chunks awaiting their write submit, as mutable [chunk, request]
         #: entries (the request is built once on the first blocked attempt).
         self._pending_writes: Deque[list] = deque()
-        self._parked_read: Optional[tuple] = None
+        #: The read of chunk ``_next_chunk`` after its queue rejected it.
+        self._parked_read: Optional[MemoryRequest] = None
+        #: (domain, channel, is_write) queue the one registered retry waits
+        #: on, or ``None``.  While the retry has not fired that queue is
+        #: provably full: its listeners fire on every freed controller slot
+        #: (or, under a mesh, every freed first-hop credit).
+        self._retry_target: Optional[tuple] = None
         self._running = False
         self._finished = False
-        self._retry_registered = False
         self.chunks_completed = 0
 
     # ----------------------------------------------------- scheduler interface
@@ -83,79 +89,93 @@ class SoftwareCopyThread:
     def is_finished(self) -> bool:
         return self._finished
 
-    # -------------------------------------------------------------- addressing
-    def _source_addr(self, chunk_index: int) -> int:
-        offset = chunk_index * CACHE_LINE_BYTES
-        if self.direction is TransferDirection.DRAM_TO_PIM:
-            return self.dram_base_addr + offset
-        return self.system.pim_heap_addr(self.pim_core_id, self.pim_heap_offset + offset)
-
-    def _dest_addr(self, chunk_index: int) -> int:
-        offset = chunk_index * CACHE_LINE_BYTES
-        if self.direction is TransferDirection.DRAM_TO_PIM:
-            return self.system.pim_heap_addr(self.pim_core_id, self.pim_heap_offset + offset)
-        return self.dram_base_addr + offset
-
     # ------------------------------------------------------------------- pump
     def _pump(self) -> None:
         """Issue as much work as the core, the MSHRs and the queues allow."""
         if self._finished or not self._running:
             return
         submit = self.system.submit
+        retry_target = self._retry_target
         # Writes for chunks whose CPU-side processing already finished go first
         # (they hold MSHRs and the data is sitting in registers).  Each entry
         # caches its built request after the first blocked attempt, so a
         # congested queue never pays address generation twice.
-        while self._pending_writes:
-            entry = self._pending_writes[0]
-            if entry[1] is None:
-                entry[1] = self._build_write(entry[0])
-            if not self._submit_request(entry[1]):
+        pending_writes = self._pending_writes
+        while pending_writes:
+            entry = pending_writes[0]
+            request = entry[1]
+            if request is None:
+                request = entry[1] = self._build_request(entry[0], is_write=True)
+            if retry_target is not None and retry_target == (
+                request.domain, request.dram_addr.channel, True
+            ):
                 return
-            self._pending_writes.popleft()
+            if not submit(request):
+                self._register_retry(request)
+                return
+            pending_writes.popleft()
         while (
             self._next_chunk < self.total_chunks
             and self._outstanding < self.max_outstanding
         ):
-            chunk = self._next_chunk
-            parked = self._parked_read
-            if parked is not None and parked[0] == chunk:
-                request = parked[1]
-            else:
-                request = MemoryRequest(
-                    phys_addr=self._source_addr(chunk),
-                    is_write=False,
-                    stream=RequestStream.TRANSFER_READ,
-                    pim_core_id=self.pim_core_id,
-                    tenant=self.tenant,
-                    on_complete=lambda req, c=chunk: self._on_read_complete(c),
-                )
+            request = self._parked_read
+            if request is None:
+                request = self._build_request(self._next_chunk, is_write=False)
+            if retry_target is not None and retry_target == (
+                request.domain, request.dram_addr.channel, False
+            ):
+                return
             if not submit(request):
-                self._parked_read = (chunk, request)
+                self._parked_read = request
                 self._register_retry(request)
                 return
             self._parked_read = None
             self._next_chunk += 1
             self._outstanding += 1
 
+    def _build_request(self, chunk: int, is_write: bool) -> MemoryRequest:
+        """Create one chunk's read or write, decoded so its target is known."""
+        offset = chunk * CACHE_LINE_BYTES
+        # The PIM end's coordinates come straight from (core, offset), as in
+        # the DCE; the DRAM end goes through the system mapper.
+        if is_write == (self.direction is TransferDirection.DRAM_TO_PIM):
+            phys_addr, domain, dram_addr = self.system.pim_heap_request(
+                self.pim_core_id, self.pim_heap_offset + offset
+            )
+        else:
+            phys_addr = self.dram_base_addr + offset
+            domain, dram_addr = self.system.decode(phys_addr)
+        if is_write:
+            stream = RequestStream.TRANSFER_WRITE
+            on_complete = self._on_write_complete
+        else:
+            stream = RequestStream.TRANSFER_READ
+            on_complete = partial(self._on_read_complete, chunk)
+        request = MemoryRequest(
+            phys_addr, is_write, CACHE_LINE_BYTES, stream, 0,
+            self.pim_core_id, self.tenant, on_complete,
+        )
+        request.domain = domain
+        request.dram_addr = dram_addr
+        return request
+
     def _register_retry(self, request: MemoryRequest) -> None:
-        if self._retry_registered:
+        if self._retry_target is not None:
             return
-        self._retry_registered = True
+        self._retry_target = (request.domain, request.dram_addr.channel, request.is_write)
+        self.system.retry_when_possible(request, self._on_retry)
 
-        def retry() -> None:
-            self._retry_registered = False
-            self._pump()
+    def _on_retry(self) -> None:
+        self._retry_target = None
+        self._pump()
 
-        self.system.retry_when_possible(request, retry)
-
-    def _on_read_complete(self, chunk: int) -> None:
+    def _on_read_complete(self, chunk: int, request: MemoryRequest) -> None:
         # The CPU transposes / repacks the chunk before storing it; the cost is
         # paid even if the thread has been preempted meanwhile (the in-flight
         # AVX work drains), but the subsequent write only issues while running.
         engine = self.system.engine
         engine.schedule_callback(
-            engine.now + self.chunk_cpu_ns, lambda: self._after_cpu_stage(chunk)
+            engine.now + self.chunk_cpu_ns, partial(self._after_cpu_stage, chunk)
         )
 
     def _after_cpu_stage(self, chunk: int) -> None:
@@ -163,23 +183,7 @@ class SoftwareCopyThread:
         if self._running:
             self._pump()
 
-    def _build_write(self, chunk: int) -> MemoryRequest:
-        return MemoryRequest(
-            phys_addr=self._dest_addr(chunk),
-            is_write=True,
-            stream=RequestStream.TRANSFER_WRITE,
-            pim_core_id=self.pim_core_id,
-            tenant=self.tenant,
-            on_complete=lambda req: self._on_write_complete(),
-        )
-
-    def _submit_request(self, request: MemoryRequest) -> bool:
-        if not self.system.submit(request):
-            self._register_retry(request)
-            return False
-        return True
-
-    def _on_write_complete(self) -> None:
+    def _on_write_complete(self, request: MemoryRequest) -> None:
         self._outstanding -= 1
         self.chunks_completed += 1
         if (
