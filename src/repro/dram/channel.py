@@ -145,7 +145,7 @@ class DdrChannel:
     ) -> AccessTiming:
         """Issue one 64 B access (implicit PRE/ACT as needed) and return its timing.
 
-        ``validated=True`` skips the bounds guard -- the service kernel's
+        ``validated=True`` skips the bounds guard -- the channel controller's
         addresses were produced by the system mapper and are in range by
         construction.
         """

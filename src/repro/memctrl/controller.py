@@ -1,32 +1,43 @@
-"""Channel controller: queue/admission front-end over the batched service kernel.
+"""Channel controller: one module admits, services and completes requests.
 
-Since PR 4 the controller is split in two layers:
+One :class:`ChannelController` exists per memory channel.  It
 
-* :class:`ChannelController` (this module) is the **admission front-end**: it
-  enforces queue depths, stamps arrival metadata, maintains the indexed
-  read/write queues (:class:`~repro.memctrl.queues.IndexedQueue`), notifies
-  slot listeners and owns the per-channel statistics.
-* :class:`~repro.memctrl.kernel.ServiceKernel` makes the scheduling decisions
-  and issues column accesses through the DDR4 channel model, batching whole
-  bursts of requests into one simulation event whenever the event order
-  provably allows it.
+* **admits** requests into indexed read/write queues
+  (:class:`~repro.memctrl.queues.IndexedQueue`), enforcing the queue depths
+  and stamping arrival metadata;
+* **services** them, one request per simulation event: pick under the
+  scheduler policy, issue the column access through the DDR4 channel model
+  (which computes CAS and data-end times analytically), then arm the next
+  decision; and
+* **completes** each request at its data-end time, recording latency and
+  firing its ``on_complete`` callback.
+
+It also notifies slot listeners (the drivers' back-pressure retries) and
+owns the per-channel statistics.
 
 The scheduling *policy* (FR-FCFS by default) is pluggable: the
 ``MemCtrlConfig.policy`` spec string selects one of the registered
-:mod:`repro.memctrl.policies`.
+:mod:`repro.memctrl.policies`.  The default FR-FCFS pick is inlined in
+:meth:`ChannelController._service`; every other policy is asked through its
+``select``.
 
-The event-level behaviour is bit-identical to the seed's one-event-per-request
-controller; the equivalence suite (``tests/test_kernel_equivalence.py``)
-asserts it across design points, policies and traffic shapes.
+Decision timing
+---------------
+After an issue the controller fires the slot listeners *before* it sets the
+next decision point to the issued CAS time.  A listener that enqueues during
+the issue therefore arms the next service event at the current time, not at
+the CAS time, and that event then stands in for the one the issue would have
+armed.  This is the seed controller's order, and every committed table
+depends on it.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, List
 
 from repro.dram.channel import DdrChannel
-from repro.memctrl.kernel import ServiceKernel
-from repro.memctrl.policies import create_policy
+from repro.memctrl.policies import FrFcfsPolicy, SchedulerPolicy, create_policy
 from repro.memctrl.queues import IndexedQueue
 from repro.memctrl.request import MemoryRequest
 from repro.sim.config import MemCtrlConfig
@@ -44,7 +55,6 @@ class ChannelController:
         config: MemCtrlConfig,
         stats: StatsRegistry,
         name: str,
-        batching: bool = True,
     ) -> None:
         self.engine = engine
         self.channel = channel
@@ -58,16 +68,25 @@ class ChannelController:
         self.policy = create_policy(config.policy)
         # Elide per-request hook calls for policies that keep no queue-side
         # state (the base-class hooks are no-ops).
-        from repro.memctrl.policies import SchedulerPolicy as _Base
-
+        policy_type = type(self.policy)
         self._policy_on_enqueue = (
             self.policy.on_enqueue
-            if type(self.policy).on_enqueue is not _Base.on_enqueue
+            if policy_type.on_enqueue is not SchedulerPolicy.on_enqueue
             else None
         )
-        self.kernel = ServiceKernel(
-            engine, channel, config, self.policy, self, batching=batching
+        self._policy_on_remove = (
+            self.policy.on_remove
+            if policy_type.on_remove is not SchedulerPolicy.on_remove
+            else None
         )
+        # The default FR-FCFS pick is inlined in _service (one less dynamic
+        # dispatch per request); any other policy goes through select.
+        self._frfcfs_fast = policy_type is FrFcfsPolicy
+        self._service_pending = False
+        self._next_decision_ns = 0.0
+        self._drain_mode = False
+        #: Issued requests whose completion has not fired yet.
+        self._in_flight = 0
         self._read_bw = stats.bandwidth_tracker(f"{name}/read")
         self._write_bw = stats.bandwidth_tracker(f"{name}/write")
         self._served = stats.counter(f"{name}/served")
@@ -103,7 +122,8 @@ class ChannelController:
             if len(queue) >= self.config.read_queue_depth:
                 return False
         channel = self.channel
-        request.arrival_ns = self.engine._now
+        now = self.engine._now
+        request.arrival_ns = now
         request.channel_id = channel.channel_id
         addr = request.dram_addr
         seq = self._next_seq
@@ -121,9 +141,11 @@ class ChannelController:
             queue._index_add(request)
         if self._policy_on_enqueue is not None:
             self._policy_on_enqueue(request)
-        kernel = self.kernel
-        if not kernel._service_pending:
-            kernel.schedule_service()
+        if not self._service_pending:
+            # Arm the service event, never before the next decision point.
+            self._service_pending = True
+            when = self._next_decision_ns
+            self.engine.schedule_callback(when if when > now else now, self._service)
         return True
 
     def add_slot_listener(self, callback: Callable[[], None]) -> None:
@@ -137,11 +159,91 @@ class ChannelController:
         for callback in listeners:
             callback()
 
-    # ------------------------------------------------------------- accounting
-    # Per-issue statistics (served/row-hit counters, bandwidth tracking) are
-    # inlined in ServiceKernel._service -- the kernel owns the issue path.
+    # -------------------------------------------------------------- servicing
+    def _service(self) -> None:
+        """Issue one request, then arm the next service event if work remains."""
+        self._service_pending = False
+        read_queue = self._read_queue
+        write_queue = self._write_queue
+        # Pick the queue (write-drain watermark logic).
+        writes = len(write_queue._pending)
+        if self._drain_mode:
+            if writes <= self.config.write_low_watermark:
+                self._drain_mode = False
+        elif writes >= self.config.write_high_watermark:
+            self._drain_mode = True
+        if self._drain_mode and writes:
+            queue = write_queue
+        elif read_queue._pending:
+            queue = read_queue
+        elif writes:
+            queue = write_queue
+        else:
+            return
+        channel = self.channel
+        if self._frfcfs_fast:
+            # Inlined head of IndexedQueue.oldest_hit: hit-rich traffic
+            # resolves within the first SCAN_PREFIX queued requests.
+            banks = channel._banks
+            scan_prefix = IndexedQueue.SCAN_PREFIX
+            request = None
+            scanned = 0
+            for candidate in queue._pending.values():
+                bank_key, row = candidate._bank_row
+                state = banks.get(bank_key)
+                if state is not None and state.open_row == row:
+                    request = candidate
+                    break
+                scanned += 1
+                if scanned >= scan_prefix:
+                    break
+            if request is None:
+                if len(queue._pending) <= scanned:
+                    request = queue.first()
+                else:
+                    request = queue.oldest_hit(channel) or queue.first()
+        else:
+            request = self.policy.select(queue, channel)
+        queue.remove(request)
+        if self._policy_on_remove is not None:
+            self._policy_on_remove(request)
+        engine = self.engine
+        now = engine._now
+        is_write = request.is_write
+        timing = channel.access(request.dram_addr, is_write, now, True)
+        cas = timing.cas_time
+        data_end = timing.data_end
+        request.issue_ns = cas
+        request.row_state = timing.row_state
+        # Per-issue statistics (incl. an inlined BandwidthTracker.record).
+        self._served.value += 1
+        if timing.row_state == "hit":
+            self._row_hit_counter.value += 1
+        tracker = self._write_bw if is_write else self._read_bw
+        size = request.size_bytes
+        tracker.total_bytes += size
+        if tracker.first_time_ns is None or data_end < tracker.first_time_ns:
+            tracker.first_time_ns = data_end
+        if tracker.last_time_ns is None or data_end > tracker.last_time_ns:
+            tracker.last_time_ns = data_end
+        tracker._events.append((data_end, size))
+        self._in_flight += 1
+        engine.schedule_callback(data_end, partial(self._finish, request, data_end))
+        if self._slot_listeners:
+            self._notify_slot_listeners()
+        # Only now move the decision point (see "Decision timing" above).
+        next_decision = cas if cas > now else now
+        self._next_decision_ns = next_decision
+        if self._service_pending:
+            # A slot listener enqueued and armed the service at the current
+            # time; that event takes over.
+            return
+        if read_queue._pending or write_queue._pending:
+            self._service_pending = True
+            engine.schedule_callback(next_decision, self._service)
 
     def _finish(self, request: MemoryRequest, time_ns: float) -> None:
+        self._in_flight -= 1
         if request.arrival_ns is not None:
             self._latency_append(time_ns - request.arrival_ns)
             if request.tenant is not None:
@@ -167,11 +269,14 @@ class ChannelController:
             raise RuntimeError(
                 f"cannot reset controller {self.name!r} with requests in flight"
             )
+        # Idle already means no armed service event and nothing in flight.
         self._read_queue.clear()
         self._write_queue.clear()
         self._next_seq = 0
         self._slot_listeners.clear()
-        self.kernel.reset()
+        self._drain_mode = False
+        self._next_decision_ns = 0.0
+        self.policy.reset()
         self.channel.reset()
 
     # ------------------------------------------------------------------ stats
@@ -188,10 +293,12 @@ class ChannelController:
         return self.read_bytes + self.write_bytes
 
     def is_idle(self) -> bool:
+        """No queued request, no armed service event, no completion pending."""
         return (
             not self._read_queue
             and not self._write_queue
-            and not self.kernel.service_pending
+            and not self._service_pending
+            and not self._in_flight
         )
 
 

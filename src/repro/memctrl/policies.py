@@ -1,11 +1,11 @@
 """Pluggable memory-scheduler policies and their registry.
 
-The service kernel (:mod:`repro.memctrl.kernel`) asks its policy one question
-per issued command: *given this queue and this channel state, which request is
-served next?*  Policies are selected by the ``MemCtrlConfig.policy`` string
-(threaded through :class:`~repro.sim.config.SystemConfig`, the
-:class:`~repro.api.Session` facade, experiment specs and the CLI) and listed
-by ``repro variants``.
+The channel controller (:mod:`repro.memctrl.controller`) asks its policy one
+question per issued command: *given this queue and this channel state, which
+request is served next?*  Policies are selected by the
+``MemCtrlConfig.policy`` string (threaded through
+:class:`~repro.sim.config.SystemConfig`, the :class:`~repro.api.Session`
+facade, experiment specs and the CLI) and listed by ``repro variants``.
 
 Registered policies
 -------------------
@@ -139,7 +139,7 @@ class QosPriorityPolicy(SchedulerPolicy):
         self.priorities = dict(priorities or {})
         #: (is_write, priority) -> IndexedQueue mirror of that class's
         #: requests.  Buckets are kept per direction because ``select`` must
-        #: only ever return a member of the queue it was handed (the kernel's
+        #: only ever return a member of the queue it was handed (the controller's
         #: read/write queue choice is made by the write-drain logic, not by
         #: the policy).
         self._classes: Dict[tuple, IndexedQueue] = {}

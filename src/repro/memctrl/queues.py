@@ -1,4 +1,4 @@
-"""Indexed request queues for the memory-controller service kernel.
+"""Indexed request queues for the channel controller.
 
 The seed's controller kept each queue as a plain list and re-scanned it on
 every scheduling decision (``O(queue depth)`` per pick, with a ``list.remove``
@@ -16,7 +16,7 @@ with structures maintained incrementally:
   maintained incrementally until the queue drains.
 
 Requests carry their queue bookkeeping in two private slots (``_seq``,
-``_bank_row``) stamped by the admission front-end, so removal needs no
+``_bank_row``) stamped by the controller at admission, so removal needs no
 recomputation and no scanning.
 """
 

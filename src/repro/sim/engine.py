@@ -20,16 +20,14 @@ implicit clocking.  Substrates with a natural clock (the DDR4 channel model,
 the DCE) convert their cycle counts into nanoseconds before talking to the
 engine.
 
-Three hot-path services were added for the batched DRAM service kernel
-(:mod:`repro.memctrl.kernel`):
+Beyond plain scheduling the engine offers two services:
 
-* :meth:`SimulationEngine.schedule_batch` pushes many events in one call;
+* :meth:`SimulationEngine.schedule_batch` pushes many events in one call
+  (the trace replayer and the LLM serving driver schedule arrivals this
+  way); and
 * :meth:`SimulationEngine.peek_next_ticks` exposes the integer time of the
-  next live event so a callback can decide whether *it* would be the next
-  event; and
-* :meth:`SimulationEngine.advance_to` lets such a callback advance the clock
-  without a heap round-trip -- the event-free "drain" fast path.  It refuses
-  to jump over any pending event, so it can never reorder a simulation.
+  next live event without firing it (``run`` stops at its ``until`` bound
+  with it).
 """
 
 from __future__ import annotations
@@ -150,9 +148,6 @@ class SimulationEngine:
         self._queue: List[_HeapEntry] = []
         self._cancelled_pending: int = 0
         self._running: bool = False
-        #: Inclusive tick bound of an in-progress ``run(until=...)``; the
-        #: service kernel's event-free fast path must not advance past it.
-        self._until_ticks: Optional[int] = None
         #: Lifetime count of fired events (never reset); ``repro bench``
         #: divides it by wall-clock to report events/sec.
         self.events_fired: int = 0
@@ -215,19 +210,6 @@ class SimulationEngine:
             raise ValueError(
                 f"cannot schedule event at {time} ns; current time is {self._now} ns"
             )
-        sequence = self._sequence
-        self._sequence = sequence + 1
-        heapq.heappush(self._queue, (ticks, sequence, time, callback))
-
-    def _push_callback(
-        self, ticks: int, time: float, callback: Callable[[], None]
-    ) -> None:
-        """Internal: :meth:`schedule_callback` with the ticks precomputed.
-
-        Used by the service kernel, which needs the integer time for its heap
-        peek anyway; the caller guarantees ``ticks`` matches ``time`` and is
-        not in the past.
-        """
         sequence = self._sequence
         self._sequence = sequence + 1
         heapq.heappush(self._queue, (ticks, sequence, time, callback))
@@ -377,7 +359,6 @@ class SimulationEngine:
         fired = 0
         until_ticks = None if until is None else ns_to_ticks(until)
         self._running = True
-        self._until_ticks = until_ticks
         try:
             while True:
                 if max_events is not None and fired >= max_events:
@@ -394,44 +375,11 @@ class SimulationEngine:
                 fired += 1
         finally:
             self._running = False
-            self._until_ticks = None
         return fired
 
     def run_until(self, time_ns: float, max_events: Optional[int] = None) -> int:
         """Alias for ``run(until=time_ns)`` (reads better at call sites)."""
         return self.run(until=time_ns, max_events=max_events)
-
-    def advance_to(self, time_ns: float) -> None:
-        """Advance the clock to ``time_ns`` without a heap round-trip.
-
-        This is the event-free drain fast path: a callback that knows it
-        would be the next event anyway (because :meth:`peek_next_ticks` is
-        later than its target time) can move the clock forward directly and
-        keep working, instead of scheduling itself and re-entering the heap.
-
-        Jumping over any pending event raises -- the fast path can therefore
-        never change the order in which a simulation's events fire.
-        """
-        ticks = ns_to_ticks(time_ns)
-        if ticks < self._now_ticks:
-            raise ValueError(
-                f"cannot advance to {time_ns} ns; current time is {self._now} ns"
-            )
-        next_ticks = self.peek_next_ticks()
-        if next_ticks is not None and next_ticks < ticks:
-            entry = self._queue[0]
-            pending_time = entry[2] if len(entry) == 4 else entry[2].time
-            raise RuntimeError(
-                f"cannot advance to {time_ns} ns over a pending event at "
-                f"{pending_time} ns"
-            )
-        if self._until_ticks is not None and ticks > self._until_ticks:
-            raise RuntimeError(
-                f"cannot advance to {time_ns} ns past the active run(until=...) "
-                "horizon"
-            )
-        self._now = time_ns
-        self._now_ticks = ticks
 
     # --------------------------------------------------------------- clearing
     def drain(self) -> None:

@@ -4,8 +4,8 @@ An independent, deliberately naive transcription of the DDR4 open-page
 state machine from the timing diagrams: one bank on one rank, "not before"
 timestamps for PRE/ACT/CAS, bank-group CAS-to-CAS spacing, read/write
 turnaround and data-bus occupancy.  It shares **no code** with
-:mod:`repro.dram` -- it exists so the simulator's channel model (and both
-service kernels built on it) can be checked against a second, trivially
+:mod:`repro.dram` -- it exists so the simulator's channel model (and the
+channel controller built on it) can be checked against a second, trivially
 auditable implementation.
 
 Scope: a single bank (so tRRD/tFAW across banks never bind beyond the
@@ -16,9 +16,9 @@ same IEEE-754 max/add chains on the same values.
 
 The service-order contract the oracle relies on (see
 ``tests/test_oracle.py``): with everything enqueued at time 0 and a queue
-discipline that fixes the order, the batched kernel issues access ``k`` with
-``earliest`` equal to the previous access's CAS time (the controller's next
-decision point), and the first access at time 0.
+discipline that fixes the order, the controller issues access ``k`` with
+``earliest`` equal to the previous access's CAS time (its next decision
+point), and the first access at time 0.
 """
 
 from __future__ import annotations
@@ -118,8 +118,8 @@ class SingleBankOracle:
     ) -> List[OracleAccess]:
         """Predict a back-to-back program: access ``k`` issues at CAS ``k-1``.
 
-        This is the batched service kernel's decision cadence for a
-        pre-filled queue with no competing events (see the module docstring).
+        This is the channel controller's decision cadence for a pre-filled
+        queue with no competing events (see the module docstring).
         """
         out: List[OracleAccess] = []
         earliest = start

@@ -1,20 +1,18 @@
-"""Equivalence suite: the batched service kernel == the per-request path.
+"""Scheduler-pick and determinism checks for the channel controller.
 
-The PR 4 hot-path overhaul rebuilt the controller around a batched
-:class:`~repro.memctrl.kernel.ServiceKernel` (event-elision fast path, indexed
-FR-FCFS pick) with the explicit contract that **event-level behaviour is
-unchanged**.  These tests enforce that contract:
+The controller finds its FR-FCFS pick through an indexed queue
+(:class:`~repro.memctrl.queues.IndexedQueue`) instead of the seed's
+front-to-back scan.  These tests enforce that this changes nothing but cost:
 
-* batched vs. per-request (``batching=False``) runs produce identical finish
-  times and identical stats snapshots across design points, policies and
-  traffic shapes;
-* the indexed FR-FCFS pick equals a literal reimplementation of the seed's
-  linear scan, including on a 10k-deep queue (the seed's O(n^2) regression
-  case); and
+* the indexed pick equals a literal reimplementation of the seed's linear
+  scan, including on a 10k-deep queue (the seed's O(n^2) regression case);
+* the cost of one pick does not grow with queue depth; and
 * ``reset_state()`` keeps back-to-back runs bit-identical.
 """
 
 from __future__ import annotations
+
+import sys
 
 import pytest
 
@@ -24,7 +22,6 @@ from repro.mapping.mlp import mlp_centric_mapping
 from repro.memctrl.controller import ChannelController
 from repro.memctrl.policies import FrFcfsPolicy
 from repro.memctrl.request import MemoryRequest
-from repro.scenarios.trace import TraceReplayer, synthesize_trace
 from repro.sim.config import DesignPoint, MemCtrlConfig, MemoryDomainConfig, SystemConfig
 from repro.sim.engine import SimulationEngine
 from repro.sim.stats import StatsRegistry
@@ -33,106 +30,37 @@ from repro.transfer.descriptor import TransferDirection
 from repro.workloads.microbench import run_transfer_experiment_on
 
 KIB = 1024
+GEOMETRY = MemoryDomainConfig.paper_dram()
 
 
-def set_batching(system, batching: bool) -> None:
-    for memory in (system.dram, system.pim):
-        for controller in memory.controllers:
-            controller.kernel.batching = batching
+class ReferenceLinearScan(FrFcfsPolicy):
+    """Literal reimplementation of the seed's front-to-back FR-FCFS scan."""
+
+    def select(self, queue, channel):
+        for request in queue.requests():
+            if channel.row_state(request.dram_addr) == "hit":
+                return request
+        return queue.first()
 
 
-def transfer_outcome(design_point, direction, batching, policy=None):
-    config = SystemConfig.small_test()
-    if policy is not None:
-        from dataclasses import replace
-
-        config = replace(config, memctrl=replace(config.memctrl, policy=policy))
-    system = build_system(config=config, design_point=design_point)
-    set_batching(system, batching)
-    experiment = run_transfer_experiment_on(
-        system, direction, 64 * KIB, sim_cap_bytes=64 * KIB
+def build_controller(depth, policy=None):
+    """A bare controller with ``depth``-deep queues, optionally on ``policy``."""
+    engine = SimulationEngine()
+    config = MemCtrlConfig(read_queue_depth=depth, write_queue_depth=depth)
+    controller = ChannelController(
+        engine, DdrChannel(GEOMETRY, 0), config, StatsRegistry(), name="eq/ch0"
     )
-    return experiment.result.end_ns, experiment.result.start_ns, system.stats.snapshot()
-
-
-class TestBatchedEqualsPerRequest:
-    @pytest.mark.parametrize("design_point", list(DesignPoint))
-    @pytest.mark.parametrize("direction", list(TransferDirection))
-    def test_transfers_identical_across_design_points(self, design_point, direction):
-        batched = transfer_outcome(design_point, direction, batching=True)
-        unbatched = transfer_outcome(design_point, direction, batching=False)
-        assert batched == unbatched
-
-    @pytest.mark.parametrize("policy", ["fcfs", "frfcfs", "frfcfs_cap:2"])
-    def test_transfers_identical_across_policies(self, policy):
-        batched = transfer_outcome(
-            DesignPoint.BASE_DHP, TransferDirection.DRAM_TO_PIM, True, policy
-        )
-        unbatched = transfer_outcome(
-            DesignPoint.BASE_DHP, TransferDirection.DRAM_TO_PIM, False, policy
-        )
-        assert batched == unbatched
-
-    @pytest.mark.parametrize("pattern", ["bursty", "skewed"])
-    def test_replay_identical_on_traces(self, pattern):
-        trace = synthesize_trace(
-            pattern, total_bytes=64 * KIB, mean_gap_ns=3.0, write_fraction=0.25
-        )
-        outcomes = []
-        for batching in (True, False):
-            system = build_system(
-                config=SystemConfig.small_test(), design_point=DesignPoint.BASE_DHP
-            )
-            set_batching(system, batching)
-            result = TraceReplayer(system, trace).execute()
-            outcomes.append(
-                (
-                    result.start_ns,
-                    result.end_ns,
-                    result.completed,
-                    result.deferred,
-                    result.p50_latency_ns,
-                    result.p99_latency_ns,
-                    system.stats.snapshot(),
-                )
-            )
-        assert outcomes[0] == outcomes[1]
-
-    def test_per_request_finish_times_identical(self):
-        """Request-level latency samples (per channel, in completion order)."""
-        finishes = []
-        for batching in (True, False):
-            system = build_system(
-                config=SystemConfig.small_test(), design_point=DesignPoint.BASELINE
-            )
-            set_batching(system, batching)
-            run_transfer_experiment_on(
-                system, TransferDirection.DRAM_TO_PIM, 32 * KIB, sim_cap_bytes=32 * KIB
-            )
-            times = []
-            for memory in (system.dram, system.pim):
-                for controller in memory.controllers:
-                    times.append(tuple(controller._latency_hist.samples))
-            finishes.append(tuple(times))
-        assert finishes[0] == finishes[1]
+    if policy is not None:
+        # Every pick then goes through ``policy.select`` instead of the
+        # controller's inlined FR-FCFS scan.
+        controller.policy = policy
+        controller._frfcfs_fast = False
+    return engine, controller
 
 
 class TestIndexedPickEqualsLinearScan:
-    GEOMETRY = MemoryDomainConfig.paper_dram()
-
-    def _run(self, requests_factory, select_override=None, depth=64):
-        engine = SimulationEngine()
-        stats = StatsRegistry()
-        config = MemCtrlConfig(read_queue_depth=depth, write_queue_depth=depth)
-        controller = ChannelController(
-            engine, DdrChannel(self.GEOMETRY, 0), config, stats, name="eq/ch0"
-        )
-        if select_override is not None:
-            policy = select_override()
-            controller.policy = policy
-            controller.kernel.policy = policy
-            controller.kernel._frfcfs_fast = False
-            controller.kernel._policy_on_remove = None
+    def _run(self, requests_factory, policy=None, depth=64):
+        engine, controller = build_controller(depth, policy)
         order = []
         for request in requests_factory(lambda r: order.append(r.phys_addr)):
             assert controller.enqueue(request)
@@ -147,18 +75,8 @@ class TestIndexedPickEqualsLinearScan:
         O(n^2) over a 10k-deep drain.  The indexed pick must produce the
         identical service order at O(banks) per decision.
         """
-
-        class ReferenceLinearScan(FrFcfsPolicy):
-            """Literal reimplementation of the seed's front-to-back scan."""
-
-            def select(self, queue, channel):
-                for request in queue.requests():
-                    if channel.row_state(request.dram_addr) == "hit":
-                        return request
-                return queue.first()
-
-        mapping = locality_centric_mapping(self.GEOMETRY)
-        row_bytes = self.GEOMETRY.row_size_bytes
+        mapping = locality_centric_mapping(GEOMETRY)
+        row_bytes = GEOMETRY.row_size_bytes
 
         def build(on_complete):
             requests = []
@@ -176,18 +94,11 @@ class TestIndexedPickEqualsLinearScan:
             return requests
 
         indexed = self._run(build, depth=10_000)
-        reference = self._run(build, select_override=ReferenceLinearScan, depth=10_000)
+        reference = self._run(build, policy=ReferenceLinearScan(), depth=10_000)
         assert indexed == reference
 
     def test_mlp_mapping_matches_reference_scan(self):
-        class ReferenceLinearScan(FrFcfsPolicy):
-            def select(self, queue, channel):
-                for request in queue.requests():
-                    if channel.row_state(request.dram_addr) == "hit":
-                        return request
-                return queue.first()
-
-        mapping = mlp_centric_mapping(self.GEOMETRY)
+        mapping = mlp_centric_mapping(GEOMETRY)
 
         def build(on_complete):
             requests = []
@@ -203,8 +114,54 @@ class TestIndexedPickEqualsLinearScan:
             return requests
 
         assert self._run(build, depth=2_000) == self._run(
-            build, select_override=ReferenceLinearScan, depth=2_000
+            build, policy=ReferenceLinearScan(), depth=2_000
         )
+
+
+class TestPickCostIsFlatInDepth:
+    """The cost of a scheduler pick must not grow with queue depth.
+
+    Drains row-conflicting traffic (eight banks, a new row every eighth
+    request) through one controller and counts the Python lines executed
+    per served request with ``sys.settrace``: a deterministic measure of
+    work, unlike host time.  The indexed pick costs about 243 lines per
+    request at every depth; the seed's linear scan (``ReferenceLinearScan``)
+    costs 1,463 at depth 512 and 5,109 at depth 4096.
+    """
+
+    @staticmethod
+    def lines_per_request(depth, policy=None):
+        engine, controller = build_controller(depth, policy)
+        mapping = locality_centric_mapping(GEOMETRY)
+        row_bytes = GEOMETRY.row_size_bytes
+        for index in range(depth):
+            phys = (index % 8) * 4 * row_bytes + (index // 8) * row_bytes
+            request = MemoryRequest(phys_addr=phys, is_write=False)
+            request.domain = "dram"
+            request.dram_addr = mapping.map(phys)
+            assert controller.enqueue(request)
+        lines = 0
+
+        def count_lines(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return count_lines
+
+        previous = sys.gettrace()
+        sys.settrace(count_lines)
+        try:
+            engine.run()
+        finally:
+            sys.settrace(previous)
+        assert controller._served.value == depth
+        assert controller.is_idle()
+        return lines / depth
+
+    def test_4096_deep_drain_costs_what_a_512_deep_one_does(self):
+        shallow = self.lines_per_request(512)
+        deep = self.lines_per_request(4096)
+        assert deep == pytest.approx(shallow, rel=0.05), (shallow, deep)
 
 
 class TestDeterminism:

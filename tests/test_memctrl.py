@@ -131,9 +131,16 @@ class TestChannelController:
         controller = make_controller(engine, stats)
         mapping = locality_centric_mapping(GEOMETRY)
         assert controller.is_idle()
-        controller.enqueue(decoded_request(mapping, 0))
+        request = decoded_request(mapping, 0)
+        controller.enqueue(request)
+        assert not controller.is_idle()
+        # Issued, queues empty, completion still pending: not idle yet.
+        while request.issue_ns is None:
+            assert engine.step()
+        assert request.completion_ns is None
         assert not controller.is_idle()
         engine.run()
+        assert request.completion_ns is not None
         assert controller.is_idle()
 
 

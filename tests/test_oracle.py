@@ -1,4 +1,4 @@
-"""Golden single-bank timing tests: the service kernel vs the pure-Python oracle.
+"""Golden single-bank timing tests: the channel controller vs the pure-Python oracle.
 
 ``tests/oracle.py`` is an independent transcription of the DDR4 open-page
 state machine.  These tests drive single-bank programs through a real
@@ -8,7 +8,7 @@ the row-hit / row-miss (closed) / row-conflict latencies of the Table I
 DDR4-2400 configuration as explicit cycle counts.
 
 Service-order contract used throughout: all requests are enqueued at time 0
-into the read (or write) queue under the ``fcfs`` policy, so the kernel
+into the read (or write) queue under the ``fcfs`` policy, so the controller
 services them in arrival order, reads before writes, issuing access ``k``
 with ``earliest`` equal to access ``k-1``'s CAS time.
 """

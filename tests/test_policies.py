@@ -237,7 +237,7 @@ class TestPolicyKnob:
     def test_qos_priority_mixed_read_write_queues(self, engine, stats):
         """Regression: class buckets are per direction.
 
-        A high-priority WRITE must never be returned when the kernel asked
+        A high-priority WRITE must never be returned when the controller asked
         the policy to pick from the READ queue (that crashed with a KeyError
         before the per-direction buckets).
         """

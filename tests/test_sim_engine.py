@@ -272,26 +272,6 @@ def test_run_until_alias(engine):
     assert fired == [1]
 
 
-def test_advance_to_moves_clock_when_no_event_intervenes(engine):
-    engine.advance_to(7.25)
-    assert engine.now == 7.25
-    assert engine.now_ps == 7250
-
-
-def test_advance_to_refuses_to_jump_over_pending_events(engine):
-    engine.schedule_at(3.0, lambda: None)
-    with pytest.raises(RuntimeError):
-        engine.advance_to(4.0)
-    engine.advance_to(3.0)  # up to (and including) the next event is fine
-    assert engine.now == 3.0
-
-
-def test_advance_to_backwards_raises(engine):
-    engine.advance_to(5.0)
-    with pytest.raises(ValueError):
-        engine.advance_to(4.0)
-
-
 def test_peek_next_ticks_matches_peek_next_time(engine):
     from repro.sim.engine import ns_to_ticks
     engine.schedule_callback(4.5, lambda: None)
@@ -309,11 +289,13 @@ def test_mixed_event_and_callback_ordering_is_by_schedule_time(engine):
 
 
 def test_run_until_bounds_the_batched_kernel():
-    """Regression: the kernel's event-free fast path must respect run(until=).
+    """A bounded run stops a controller's drain at the horizon; resuming loses nothing.
 
-    With a queue of same-row reads, a bounded run must service exactly the
-    requests the per-request path would have, and the clock must stop at the
-    bound -- the batched kernel used to run past it.
+    The controller issues one request per service event, so ``run(until=)``
+    bounds it like any other event source.  On 64 same-row reads the bounded
+    run must complete exactly the unbounded run's requests that finish by the
+    horizon, leave the clock on the horizon, and -- once resumed -- reproduce
+    the unbounded run.
     """
     from repro.dram.channel import DdrChannel
     from repro.mapping.locality import locality_centric_mapping
@@ -325,12 +307,11 @@ def test_run_until_bounds_the_batched_kernel():
     geometry = MemoryDomainConfig.paper_dram()
     mapping = locality_centric_mapping(geometry)
 
-    def run_bounded(batching):
+    def build():
         engine = SimulationEngine()
         controller = ChannelController(
             engine, DdrChannel(geometry, 0),
             MemCtrlConfig(read_queue_depth=256), StatsRegistry(), name="b/ch0",
-            batching=batching,
         )
         completed = []
         for index in range(64):
@@ -340,17 +321,19 @@ def test_run_until_bounds_the_batched_kernel():
             )
             request.domain = "dram"
             request.dram_addr = mapping.map(request.phys_addr)
-            controller.enqueue(request)
-        engine.run(until=40.0)
-        return engine.now, controller._served.value, tuple(completed)
+            assert controller.enqueue(request)
+        return engine, controller, completed
 
-    assert run_bounded(True) == run_bounded(False)
-    now, _, _ = run_bounded(True)
-    assert now == 40.0
+    engine, controller, unbounded = build()
+    engine.run()
+    served = controller._served.value
+    assert served == 64
 
-
-def test_advance_to_error_path_handles_callback_entries(engine):
-    """Regression: the refusal message used to assume Event-shaped heap entries."""
-    engine.schedule_callback(5.0, lambda: None)
-    with pytest.raises(RuntimeError):
-        engine.advance_to(10.0)
+    engine, controller, bounded = build()
+    engine.run(until=40.0)
+    assert engine.now == 40.0
+    assert bounded == [t for t in unbounded if t <= 40.0]
+    assert 0 < len(bounded) < len(unbounded)  # the horizon cuts the drain
+    engine.run()
+    assert bounded == unbounded
+    assert controller._served.value == served

@@ -137,6 +137,21 @@ class TestResetState:
         with pytest.raises(RuntimeError, match="in flight"):
             system.reset_state()
 
+    def test_reset_refuses_issued_but_unfinished_requests(self, small_config):
+        system = build_system(config=small_config)
+        finished = []
+        request = MemoryRequest(phys_addr=0, is_write=False, on_complete=finished.append)
+        assert system.submit(request)
+        while request.issue_ns is None:
+            assert system.engine.step()
+        # The queues are empty again, but the completion has not fired.
+        assert not system.is_memory_idle()
+        with pytest.raises(RuntimeError, match="in flight"):
+            system.reset_state()
+        system.engine.run()
+        assert finished == [request]
+        assert system.is_memory_idle()
+
     def test_back_to_back_requests_are_bit_identical_to_fresh(self, small_config):
         def burst(system):
             finished = []
