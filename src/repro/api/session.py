@@ -83,9 +83,6 @@ class Session:
         cache=None,
         jobs: int = 1,
         variants: Optional[Variants] = None,
-        task_timeout_s: Optional[float] = None,
-        retries: Optional[int] = None,
-        journal=None,
     ) -> None:
         if variants is not None:
             # apply() validates every spec first, preserving the historical
@@ -99,9 +96,6 @@ class Session:
             create_backend(backend)  # fail fast on unknown names
         self._cache = cache
         self._jobs = jobs
-        self._task_timeout_s = task_timeout_s
-        self._retries = retries
-        self._journal = journal
         self._engine: Optional[SimulationEngine] = None
         self._stats: Optional[StatsRegistry] = None
         self._system: Optional[PimSystem] = None
@@ -119,9 +113,6 @@ class Session:
         cache=None,
         jobs: int = 1,
         variants: Optional[Variants] = None,
-        task_timeout_s: Optional[float] = None,
-        retries: Optional[int] = None,
-        journal=None,
     ) -> "Session":
         """Open a session on ``config`` (Table I by default) and a design point.
 
@@ -133,11 +124,6 @@ class Session:
         bit-identical to the direct path; policies and real fabrics change
         scheduling.  ``cache``/``jobs`` configure the experiment provider
         behind :meth:`run_workload`.
-        ``task_timeout_s``/``retries``/``journal`` configure the provider's
-        fault-tolerant fleet execution (see :mod:`repro.fleet`): hung worker
-        tasks are killed and retried up to ``retries`` times, and a
-        :class:`~repro.fleet.journal.FleetJournal` makes sweeps resumable
-        (:meth:`close` closes it).
         """
         return cls(
             config=config if config is not None else SystemConfig.paper_baseline(),
@@ -146,9 +132,6 @@ class Session:
             cache=cache,
             jobs=jobs,
             variants=variants,
-            task_timeout_s=task_timeout_s,
-            retries=retries,
-            journal=journal,
         )
 
     @classmethod
@@ -169,8 +152,6 @@ class Session:
         self._closed = True
         if self._engine is not None and len(self._engine):
             self._engine.drain()
-        if self._journal is not None:
-            self._journal.close()
         self._system = None
         self._engine = None
         self._stats = None
@@ -236,15 +217,9 @@ class Session:
         self._check_open()
         if self._provider is None:
             from repro.exp.runner import ExperimentProvider
-            from repro.fleet.runner import DEFAULT_RETRIES
 
             self._provider = ExperimentProvider(
-                self.config,
-                cache=self._cache,
-                jobs=self._jobs,
-                task_timeout_s=self._task_timeout_s,
-                retries=self._retries if self._retries is not None else DEFAULT_RETRIES,
-                journal=self._journal,
+                self.config, cache=self._cache, jobs=self._jobs
             )
         return self._provider
 
@@ -663,9 +638,6 @@ class SessionBuilder:
         self._cache = None
         self._jobs = 1
         self._variants = Variants()
-        self._task_timeout_s: Optional[float] = None
-        self._retries: Optional[int] = None
-        self._journal = None
 
     def config(self, config: SystemConfig) -> "SessionBuilder":
         self._config = config
@@ -722,24 +694,6 @@ class SessionBuilder:
         self._jobs = jobs
         return self
 
-    def fleet(
-        self,
-        task_timeout_s: Optional[float] = None,
-        retries: Optional[int] = None,
-        journal=None,
-    ) -> "SessionBuilder":
-        """Configure fault-tolerant fleet execution (see :mod:`repro.fleet`).
-
-        ``task_timeout_s`` kills and retries hung worker tasks; ``retries``
-        bounds re-attempts per task; ``journal`` (a
-        :class:`~repro.fleet.journal.FleetJournal`) streams completed specs
-        to disk so interrupted sweeps resume where they stopped.
-        """
-        self._task_timeout_s = task_timeout_s
-        self._retries = retries
-        self._journal = journal
-        return self
-
     def open(self) -> Session:
         return Session(
             config=self._config if self._config is not None else SystemConfig.paper_baseline(),
@@ -748,9 +702,6 @@ class SessionBuilder:
             cache=self._cache,
             jobs=self._jobs,
             variants=self._variants if not self._variants.empty else None,
-            task_timeout_s=self._task_timeout_s,
-            retries=self._retries,
-            journal=self._journal,
         )
 
 

@@ -1,15 +1,16 @@
-"""Experiment orchestration: declarative sweeps, parallel runners, caching.
+"""Experiment orchestration: declarative sweeps, a process pool, caching.
 
 This package is the one orchestration path shared by the pytest benchmark
-suite, the ``python -m repro`` CLI, and future sharded workers:
+suite, the ``python -m repro`` CLI and the sharded CI jobs:
 
 * :mod:`repro.exp.spec` -- declarative, picklable experiment specifications
   (:class:`TransferSpec`, :class:`Sweep`, ...);
-* :mod:`repro.exp.runner` -- :class:`ParallelRunner` (fault-tolerant
-  :mod:`repro.fleet` fan-out with a serial fallback) and the memoising
+* :mod:`repro.exp.runner` -- :func:`run_specs` (a process-pool fan-out with a
+  serial fallback, yielding each outcome as it finishes) and the memoising
   :class:`ExperimentProvider`;
 * :mod:`repro.exp.cache` -- the on-disk result cache under
   ``results/.cache`` keyed by ``(SystemConfig, spec, code-version)``;
+* :mod:`repro.exp.shard` -- the deterministic ``--shard I/N`` partition;
 * :mod:`repro.exp.figures` -- every paper table/figure as a declarative
   compute/render pair;
 * :mod:`repro.exp.cli` -- the ``repro figures`` / ``repro sweep`` /
@@ -18,7 +19,7 @@ suite, the ``python -m repro`` CLI, and future sharded workers:
 
 from repro.exp.cache import CACHE_DIR_NAME, MISS, ResultCache, code_version, spec_key
 from repro.exp.figures import FIGURES, Figure, generate_figures, select_figures, write_figure
-from repro.exp.runner import ExperimentProvider, ParallelRunner, ProviderStats, default_jobs
+from repro.exp.runner import ExperimentProvider, ProviderStats, run_specs
 from repro.exp.spec import (
     DEFAULT_SIM_CAP_BYTES,
     ContentionSpec,
@@ -43,7 +44,6 @@ __all__ = [
     "ExperimentSpec",
     "Figure",
     "MemcpySpec",
-    "ParallelRunner",
     "ProviderStats",
     "ReadBandwidthSpec",
     "ResultCache",
@@ -52,8 +52,8 @@ __all__ = [
     "Sweep",
     "TransferSpec",
     "code_version",
-    "default_jobs",
     "generate_figures",
+    "run_specs",
     "select_figures",
     "spec_key",
     "write_figure",

@@ -12,13 +12,10 @@ Subcommands
     Run registered multi-tenant scenarios (per-tenant tables under
     ``results/``), or an ad-hoc mix given via ``--tenants``/``--trace``.
 
-``figures``/``sweep``/``scenarios`` execute through the fault-tolerant
-:mod:`repro.fleet` engine: ``--shard I/N`` deterministically partitions the
-work across CI jobs or machines, ``--resume`` replays the streaming journal
-under ``<results-dir>/.fleet`` so an interrupted sweep continues where it
-stopped, and ``--task-timeout``/``--retries`` bound how long a hung worker
-task may run and how often it is re-attempted before the command exits
-non-zero naming the failed spec.
+``figures``/``sweep``/``scenarios`` fan their simulations out over ``-j``
+worker processes and cache each outcome as it finishes, so a rerun after an
+interrupt or a failing spec simulates only what is missing.  ``--shard I/N``
+deterministically partitions the work across CI jobs or machines.
 
 ``repro backends``
     List the registered transfer backends and which design point each one is
@@ -32,8 +29,7 @@ non-zero naming the failed spec.
     append the result to the committed ``BENCH_hotpath.json`` trajectory;
     ``--quick --check`` is the CI perf-smoke gate.
 ``repro clean-cache``
-    Delete the on-disk experiment cache (``results/.cache``) and the fleet
-    journals (``results/.fleet``).
+    Delete the on-disk experiment cache (``results/.cache``).
 
 Every subcommand builds one :class:`repro.api.Session` and drives its
 simulations through the session's experiment provider.
@@ -56,16 +52,8 @@ from repro.transfer.descriptor import TransferDirection
 from repro.exp.cache import CACHE_DIR_NAME, ResultCache
 from repro.exp.figures import FIGURES, generate_figures, select_figures
 from repro.exp.runner import ExperimentProvider
+from repro.exp.shard import Shard, parse_shard, shard_items
 from repro.exp.spec import DEFAULT_SIM_CAP_BYTES, ContentionSpec, Sweep
-from repro.fleet import (
-    FLEET_DIR_NAME,
-    FleetError,
-    FleetJournal,
-    FleetProgress,
-    Shard,
-    parse_shard,
-    shard_items,
-)
 
 _SIZE_SUFFIXES = {
     "kib": 1024,
@@ -242,31 +230,11 @@ def parse_jobs(text: str) -> int:
 
 
 def parse_shard_arg(text: str) -> Shard:
-    """``I/N`` -> :class:`~repro.fleet.shard.Shard` (argparse-friendly)."""
+    """``I/N`` -> :class:`~repro.exp.shard.Shard` (argparse-friendly)."""
     try:
         return parse_shard(text)
     except ValueError as error:
         raise argparse.ArgumentTypeError(str(error))
-
-
-def parse_timeout(text: str) -> float:
-    try:
-        timeout = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"timeout must be a number, got {text!r}")
-    if timeout <= 0:
-        raise argparse.ArgumentTypeError(f"timeout must be positive, got {timeout}")
-    return timeout
-
-
-def parse_retries(text: str) -> int:
-    try:
-        retries = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"retries must be an integer, got {text!r}")
-    if retries < 0:
-        raise argparse.ArgumentTypeError(f"retries must be >= 0, got {retries}")
-    return retries
 
 
 def _variant_arg(validate: Callable[[str], object]) -> Callable[[str], str]:
@@ -293,10 +261,7 @@ def _build_session(args: argparse.Namespace) -> "Session":
 
     Every subcommand drives its simulations through the session's experiment
     provider, so the CLI shares the facade's config/cache/jobs wiring with
-    programmatic users.  Sweep-style commands additionally get the fleet
-    layer: a streaming journal under ``<results-dir>/.fleet`` (replayed by
-    ``--resume``), per-task ``--task-timeout`` and bounded ``--retries``.
-    Use the session as a context manager: closing it closes the journal.
+    programmatic users.
     """
     from repro.api import Session
 
@@ -313,25 +278,7 @@ def _build_session(args: argparse.Namespace) -> "Session":
         cache = ResultCache(Path(cache_dir))
         cache.prune_stale_versions()
         builder.cache(cache)
-    journal = None
-    if hasattr(args, "resume"):
-        # Scoped per subcommand: a fresh `repro scenarios` run must not
-        # unlink the journal an interrupted `repro figures` will resume.
-        journal = FleetJournal(
-            args.results_dir / FLEET_DIR_NAME,
-            config,
-            resume=args.resume,
-            scope=args.command,
-        )
-        journal.prune_stale_versions()
-    builder.fleet(
-        task_timeout_s=getattr(args, "task_timeout", None),
-        retries=getattr(args, "retries", None),
-        journal=journal,
-    )
-    session = builder.open()
-    session.provider.progress = FleetProgress.auto()
-    return session
+    return builder.open()
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,28 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="I/N",
             help="run only shard I of N (deterministic partition; the N shards "
             "are disjoint and cover everything)",
-        )
-        cmd.add_argument(
-            "--resume",
-            action="store_true",
-            help="resume an interrupted sweep: skip every spec already recorded "
-            f"in <results-dir>/{FLEET_DIR_NAME}'s journal",
-        )
-        cmd.add_argument(
-            "--task-timeout",
-            type=parse_timeout,
-            default=None,
-            metavar="SECONDS",
-            help="kill and retry any worker task running longer than this "
-            "(needs -j >= 2; default: no timeout)",
-        )
-        cmd.add_argument(
-            "--retries",
-            type=parse_retries,
-            default=None,
-            metavar="N",
-            help="re-attempts per failed/killed/hung task before the sweep "
-            "fails (default: 2)",
         )
 
     figures = sub.add_parser(
@@ -637,15 +562,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _print_stats(provider: ExperimentProvider, elapsed_s: float) -> None:
     stats = provider.stats
-    fleet = ""
-    if stats.journal_hits or stats.retried:
-        fleet = (
-            f", journal hits: {stats.journal_hits}, retried: {stats.retried}"
-        )
     print(
         f"simulations executed: {stats.executed} "
         f"(disk-cache hits: {stats.disk_hits}, memoised: {stats.memo_hits}, "
-        f"extrapolated: {stats.derived}{fleet}) in {elapsed_s:.1f}s"
+        f"extrapolated: {stats.derived}) in {elapsed_s:.1f}s"
     )
 
 
@@ -705,16 +625,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
     with _build_session(args) as session:
         provider = session.provider
         started = time.perf_counter()
-        try:
-            paths = generate_figures(provider, figures, args.results_dir)
-        except FleetError as error:
-            print(f"error: {error}", file=sys.stderr)
-            print(
-                "completed specs were journalled; fix the failure and rerun "
-                "with --resume to continue where this sweep stopped",
-                file=sys.stderr,
-            )
-            return 1
+        paths = generate_figures(provider, figures, args.results_dir)
         for path in paths:
             print(f"wrote {path}")
         _print_stats(provider, time.perf_counter() - started)
@@ -743,16 +654,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     with _build_session(args) as session:
         provider = session.provider
         started = time.perf_counter()
-        try:
-            provider.prefetch(specs)
-        except FleetError as error:
-            print(f"error: {error}", file=sys.stderr)
-            print(
-                "the remaining rows completed and were cached/journalled; rerun "
-                "(optionally with --resume) after fixing the failure",
-                file=sys.stderr,
-            )
-            return 1
+        provider.prefetch(specs)
         rows = []
         for spec in specs:
             experiment = provider.run(spec)
@@ -849,13 +751,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
                 memctrl_policy=args.policy,
                 fabric=args.fabric,
             )
-            try:
-                provider.prefetch([spec])
-                outcome = provider.run(spec)
-            except FleetError as error:
-                print(f"error: {error}", file=sys.stderr)
-                return 1
-            print(render_scenario(outcome))
+            print(render_scenario(provider.run(spec)))
         else:
             try:
                 selected = select_scenarios(args.names, family=args.family)
@@ -903,16 +799,7 @@ def cmd_scenarios(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
                 return 2
-            try:
-                paths = generate_scenarios(provider, selected, args.results_dir)
-            except FleetError as error:
-                print(f"error: {error}", file=sys.stderr)
-                print(
-                    "completed scenarios were journalled; rerun with --resume to "
-                    "continue where this sweep stopped",
-                    file=sys.stderr,
-                )
-                return 1
+            paths = generate_scenarios(provider, selected, args.results_dir)
             for path in paths:
                 print(f"wrote {path}")
         _print_stats(provider, time.perf_counter() - started)
@@ -1141,10 +1028,6 @@ def cmd_clean_cache(args: argparse.Namespace) -> int:
         print(f"removed {cache_dir}")
     else:
         print(f"nothing to remove at {cache_dir}")
-    fleet_dir = args.results_dir / FLEET_DIR_NAME
-    if fleet_dir.exists():
-        shutil.rmtree(fleet_dir, ignore_errors=True)
-        print(f"removed {fleet_dir}")
     import repro
 
     package_root = Path(repro.__file__).resolve().parent

@@ -1,32 +1,31 @@
 """Experiment orchestration: parallel fan-out, memoisation, disk caching.
 
-:class:`ParallelRunner` executes a batch of specs by delegating to the
-fault-tolerant :class:`~repro.fleet.runner.FleetRunner` -- a work-stealing
-task queue over worker processes with per-task timeout, bounded retry and an
-optional resume journal (``jobs == 1`` stays a serial in-process loop).
+:func:`run_specs` executes a batch of specs, fanning out over a
+``ProcessPoolExecutor`` when ``jobs > 1`` (a serial in-process loop
+otherwise) and yielding each ``(spec, outcome)`` the moment it finishes.
 Workers build their own :class:`~repro.sim.engine.SimulationEngine`; the
-engine is deterministic, so parallel, serial, killed-and-retried and resumed
-runs all produce identical results.
+engine is deterministic, so parallel and serial runs produce identical
+results.
 
 :class:`ExperimentProvider` is the one orchestration path shared by the
-pytest benchmark suite, the ``python -m repro`` CLI, and the sharded CI
-fleet workers.  It layers, in order:
+pytest benchmark suite, the ``python -m repro`` CLI and the sharded CI jobs.
+It layers, in order:
 
 1. an in-memory memo (one entry per spec per provider),
-2. the streaming :class:`~repro.fleet.journal.FleetJournal` (optional; what
-   ``--resume`` replays),
-3. the on-disk :class:`~repro.exp.cache.ResultCache` (optional),
-4. arithmetic derivation: oversized :class:`TransferSpec` requests are served
+2. the on-disk :class:`~repro.exp.cache.ResultCache` (optional),
+3. arithmetic derivation: oversized :class:`TransferSpec` requests are served
    by extrapolating the cached steady-state *window* experiment instead of
    re-simulating,
-5. actual simulation, serial or fanned out through the fleet runner.
+4. actual simulation through :func:`run_specs`.  Each outcome is cached as
+   soon as it arrives, so a rerun after an interrupt, a crashed worker or a
+   failing spec simulates only what is missing.
 """
 
 from __future__ import annotations
 
-import os
+from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.sim.config import SystemConfig
 from repro.transfer.descriptor import TransferDirection
@@ -35,63 +34,52 @@ from repro.workloads.microbench import TransferExperiment, extrapolate_experimen
 
 from repro.exp.cache import MISS, ResultCache
 from repro.exp.spec import DEFAULT_SIM_CAP_BYTES, ExperimentSpec, TransferSpec
-from repro.fleet.runner import DEFAULT_RETRIES, FleetError, FleetPolicy, FleetRunner
 
 
-def _execute_spec(payload: Tuple[SystemConfig, ExperimentSpec]):
-    """Run one spec on a private simulation engine (kept for compatibility)."""
-    config, spec = payload
-    return spec.run(config)
+def run_specs(
+    config: SystemConfig, specs: Iterable[ExperimentSpec], jobs: int = 1
+) -> Iterator[Tuple[ExperimentSpec, object]]:
+    """Run every unique spec, yielding ``(spec, outcome)`` as each finishes.
 
-
-def default_jobs() -> int:
-    """A sensible default worker count (leave one core for the parent)."""
-    return max(1, (os.cpu_count() or 2) - 1)
-
-
-class ParallelRunner:
-    """Executes batches of experiment specs, optionally across processes.
-
-    A thin façade over :class:`~repro.fleet.runner.FleetRunner` keeping the
-    historical constructor/`run` signature; the fleet knobs (per-task
-    timeout, bounded retry, resume journal, progress reporting) are optional
-    and default to the classic fire-and-collect behaviour.
+    Duplicate specs collapse to one execution.  ``jobs == 1`` (or a single
+    spec) runs serially in-process; otherwise specs fan out over a process
+    pool and arrive in completion order.  A spec that raises does not stop
+    the batch: the first such error is re-raised unchanged once every other
+    spec has finished.  An interrupt (``KeyboardInterrupt``) propagates at
+    once, cancelling the specs that have not started.
     """
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
+    unique = list(dict.fromkeys(specs))
+    failure: Optional[BaseException] = None
+    if jobs == 1 or len(unique) <= 1:
+        for spec in unique:
+            try:
+                outcome = spec.run(config)
+            except Exception as error:  # re-raised once the batch is done
+                failure = failure or error
+                continue
+            yield spec, outcome
+    else:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
 
-    def __init__(
-        self,
-        jobs: int = 1,
-        task_timeout_s: Optional[float] = None,
-        retries: int = DEFAULT_RETRIES,
-        journal=None,
-        progress=None,
-    ) -> None:
-        if jobs < 1:
-            raise ValueError("jobs must be >= 1")
-        self.jobs = jobs
-        self.policy = FleetPolicy(task_timeout_s=task_timeout_s, retries=retries)
-        self.journal = journal
-        self.progress = progress
-        self.fleet_stats = None  # the last run's FleetStats
-
-    def run(
-        self, config: SystemConfig, specs: Sequence[ExperimentSpec]
-    ) -> Dict[ExperimentSpec, object]:
-        """Run every unique spec and return outcomes keyed by spec.
-
-        Duplicate specs collapse to one execution.  Results are keyed (not
-        positional) so callers can request in any order.  Raises
-        :class:`~repro.fleet.runner.FleetError` -- after the rest of the
-        batch completed -- if any spec exhausts its retry budget.
-        """
-        runner = FleetRunner(
-            jobs=self.jobs,
-            policy=self.policy,
-            journal=self.journal,
-            progress=self.progress,
-        )
-        self.fleet_stats = runner.stats
-        return runner.run(config, specs)
+        # The platform's default start method: fork on Linux before Python
+        # 3.14, where workers inherit the imported package and a pool starts
+        # about 0.6 s sooner than with spawn.  fork is safe only while the
+        # caller runs no other thread, as the CLI and the test suite do.
+        pool = ProcessPoolExecutor(max_workers=min(jobs, len(unique)))
+        try:
+            futures = {pool.submit(spec.run, config): spec for spec in unique}
+            for future in as_completed(futures):
+                error = future.exception()
+                if error is not None:
+                    failure = failure or error
+                    continue
+                yield futures[future], future.result()
+        finally:
+            pool.shutdown(cancel_futures=True)
+    if failure is not None:
+        raise failure
 
 
 @dataclass
@@ -102,8 +90,6 @@ class ProviderStats:
     disk_hits: int = 0  # served from results/.cache
     memo_hits: int = 0  # served from the in-memory memo
     derived: int = 0  # extrapolated arithmetically from a cached window
-    journal_hits: int = 0  # served from a resumed fleet journal
-    retried: int = 0  # failed attempts the fleet requeued and re-ran
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -111,23 +97,16 @@ class ProviderStats:
             "disk_hits": self.disk_hits,
             "memo_hits": self.memo_hits,
             "derived": self.derived,
-            "journal_hits": self.journal_hits,
-            "retried": self.retried,
         }
 
 
 @dataclass
 class ExperimentProvider:
-    """Memoising, cache-backed, fleet-capable experiment source."""
+    """Memoising, cache-backed, parallel-capable experiment source."""
 
     config: SystemConfig
     cache: Optional[ResultCache] = None
     jobs: int = 1
-    #: Fleet knobs: per-task timeout, bounded retry, resume journal, progress.
-    task_timeout_s: Optional[float] = None
-    retries: int = DEFAULT_RETRIES
-    journal: Optional[object] = None
-    progress: Optional[object] = None
     stats: ProviderStats = field(default_factory=ProviderStats)
 
     def __post_init__(self) -> None:
@@ -147,6 +126,13 @@ class ExperimentProvider:
         self.stats.derived += 1
         return derived
 
+    def _store(self, spec: ExperimentSpec, value) -> None:
+        """Keep a freshly simulated outcome in the memo and the disk cache."""
+        self._memo[spec] = value
+        self.stats.executed += 1
+        if self.cache is not None:
+            self.cache.put(self.config, spec, value)
+
     def run(self, spec: ExperimentSpec):
         """Return the outcome for ``spec``, simulating only on a cold miss."""
         if spec in self._memo:
@@ -155,60 +141,29 @@ class ExperimentProvider:
         canonical = self._canonical(spec)
         if canonical is not spec and canonical != spec:
             return self._derive(spec, self.run(canonical))
-        value = MISS
-        from_journal = False
-        if self.journal is not None:
-            value = self.journal.get(self.config, canonical)
-            if value is not MISS:
-                self.stats.journal_hits += 1
-                from_journal = True
-        if value is MISS and self.cache is not None:
+        if self.cache is not None:
             value = self.cache.get(self.config, canonical)
             if value is not MISS:
                 self.stats.disk_hits += 1
-        if value is MISS:
-            value = canonical.run(self.config)
-            self.stats.executed += 1
-            if self.journal is not None:
-                self.journal.record_done(self.config, canonical, value)
-            if self.cache is not None:
-                self.cache.put(self.config, canonical, value)
-        elif from_journal and self.cache is not None:
-            # Warm the durable cache from the resumed journal so later runs
-            # need neither.
-            self.cache.put(self.config, canonical, value)
-        self._memo[canonical] = value
+                self._memo[canonical] = value
+                return value
+        value = canonical.run(self.config)
+        self._store(canonical, value)
         return value
-
-    def _make_runner(self) -> ParallelRunner:
-        return ParallelRunner(
-            jobs=self.jobs,
-            task_timeout_s=self.task_timeout_s,
-            retries=self.retries,
-            journal=self.journal,
-            progress=self.progress,
-        )
-
-    def _absorb(self, outcomes: Dict[ExperimentSpec, object]) -> None:
-        for spec, value in outcomes.items():
-            self._memo[spec] = value
-            if self.cache is not None:
-                self.cache.put(self.config, spec, value)
 
     def prefetch(self, specs: Iterable[ExperimentSpec]) -> int:
         """Ensure every spec's canonical outcome is available, in parallel.
 
         Deduplicates, canonicalises transfers to their simulated windows,
-        drops everything already memoised or disk-cached, and fans the rest
-        out over the fleet runner with this provider's ``jobs`` and fleet
-        policy (timeout/retry/journal).  Returns the number of simulations
-        actually executed.  If any spec exhausts its retry budget, the rest
-        of the batch still completes (and is cached/journalled) before
-        :class:`~repro.fleet.runner.FleetError` propagates.
+        drops everything already memoised or disk-cached, and runs the rest
+        through :func:`run_specs` with this provider's ``jobs``.  Each
+        outcome is memoised and cached the moment it arrives, so whatever
+        finished survives an interrupt or a failing spec.  Returns the number
+        of simulations actually executed.
         """
-        todo: List[ExperimentSpec] = []
+        todo = []
         for spec in dict.fromkeys(self._canonical(s) for s in specs):
-            if spec in self._memo or spec in todo:
+            if spec in self._memo:
                 continue
             if self.cache is not None:
                 value = self.cache.get(self.config, spec)
@@ -217,29 +172,12 @@ class ExperimentProvider:
                     self.stats.disk_hits += 1
                     continue
             todo.append(spec)
-        if not todo:
-            return 0
-        runner = self._make_runner()
-        try:
-            outcomes = runner.run(self.config, todo)
-        except FleetError as error:
-            # Keep everything that *did* finish: the journal already has it,
-            # and the disk cache should too, so a fixed rerun is incremental.
-            self._absorb(error.outcomes)
-            self._merge_fleet_stats(runner)
-            raise
-        self._absorb(outcomes)
-        executed = self._merge_fleet_stats(runner)
-        return executed
-
-    def _merge_fleet_stats(self, runner: ParallelRunner) -> int:
-        fleet = runner.fleet_stats
-        if fleet is None:
-            return 0
-        self.stats.executed += fleet.executed
-        self.stats.journal_hits += fleet.journal_hits
-        self.stats.retried += fleet.retried
-        return fleet.executed
+        before = self.stats.executed
+        # closing(): should storing raise, cancel the specs not yet started.
+        with closing(run_specs(self.config, todo, self.jobs)) as outcomes:
+            for spec, value in outcomes:
+                self._store(spec, value)
+        return self.stats.executed - before
 
     # -- convenience API (the benchmark suite's historical signature) -------
 
@@ -261,9 +199,4 @@ class ExperimentProvider:
         )
 
 
-__all__ = [
-    "ExperimentProvider",
-    "ParallelRunner",
-    "ProviderStats",
-    "default_jobs",
-]
+__all__ = ["ExperimentProvider", "ProviderStats", "run_specs"]

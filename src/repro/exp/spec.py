@@ -6,8 +6,8 @@ independently of *where* it runs.  Specs are:
 
 * **hashable and comparable**, so identical experiments requested by
   different figures deduplicate to a single simulation;
-* **picklable**, so a :class:`~repro.exp.runner.ParallelRunner` can ship them
-  to ``ProcessPoolExecutor`` workers (each worker builds its own
+* **picklable**, so :func:`~repro.exp.runner.run_specs` can ship them to
+  ``ProcessPoolExecutor`` workers (each worker builds its own
   :class:`~repro.sim.engine.SimulationEngine`; the engine is deterministic
   and self-contained, so a worker's result is identical to an in-process run);
 * **stably reprable**, so the on-disk cache can key results on

@@ -28,7 +28,7 @@ The shapes are chosen to stress different sharing axes:
 * **poisson-arrivals / diurnal-load / closed-loop-capacity** -- the
   arrival-process family (see the block comment above their registrations):
   memoryless Poisson streams, diurnally phased load and a closed-loop
-  capacity probe, giving fleet-scale capacity sweeps realistic load shapes.
+  capacity probe, giving capacity sweeps realistic load shapes.
 
 The LLM serving sweeps (family ``"llm"``) live in
 :mod:`repro.scenarios.llm`; this module is the ``"mix"`` family only.
@@ -197,7 +197,7 @@ def _qos_priority() -> ScenarioSpec:
     )
 
 
-# The arrival-process family: capacity-style load shapes for fleet sweeps.
+# The arrival-process family: capacity-style load shapes for capacity sweeps.
 # The earlier mixes stress *what* tenants access; these stress *when* work
 # arrives -- the axis a service's capacity planning actually lives on.
 #

@@ -2,7 +2,7 @@
 
 :class:`ScenarioSpec` is an :class:`~repro.exp.spec.ExperimentSpec`: frozen,
 hashable and picklable, so scenarios plug into the exact same orchestration
-path as the paper's figures -- :class:`~repro.exp.runner.ParallelRunner`
+path as the paper's figures -- :func:`~repro.exp.runner.run_specs`
 fan-out, the in-memory memo and the on-disk
 :class:`~repro.exp.cache.ResultCache` all work unchanged.  Running a scenario
 twice costs one simulation; ``-j N`` runs distinct scenarios in parallel and

@@ -2,7 +2,7 @@
 
 :class:`ServingSpec` wraps one :func:`repro.workloads.llm.run_serving` run as
 an :class:`~repro.exp.spec.ExperimentSpec`: frozen, hashable and picklable,
-so serving sweeps ride the same fleet orchestration as every figure and mix
+so serving sweeps ride the same orchestration as every figure and mix
 -- parallel fan-out, the on-disk result cache and ``-j N`` bit-identity all
 apply unchanged.
 

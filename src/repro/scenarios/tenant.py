@@ -11,7 +11,7 @@ suffers relative to running alone on an identical system.
 
 Tenants are described by the picklable, hashable :class:`TenantSpec`, so a
 scenario (a tuple of tenants plus a design point) can be shipped to
-:class:`~repro.exp.runner.ParallelRunner` workers and keyed into the on-disk
+:func:`~repro.exp.runner.run_specs` workers and keyed into the on-disk
 experiment cache exactly like any other spec.
 
 DRAM buffers are allocated deterministically: tenants receive disjoint slices

@@ -189,23 +189,15 @@ class SoftwareTransferEngine:
         self,
         descriptor: TransferDescriptor,
         contenders: Sequence[SchedulableThread] = (),
-        max_events: Optional[int] = None,
     ) -> TransferResult:
         """Run the transfer to completion and return its result."""
         self.begin(descriptor, contenders=contenders)
-        system = self.system
-        events = 0
+        engine = self.system.engine
         while self._result is None:
-            if max_events is not None and events >= max_events:
-                raise RuntimeError(
-                    "software transfer did not complete within the event budget; "
-                    "likely a backpressure deadlock"
-                )
-            if not system.engine.step():
+            if not engine.step():
                 raise RuntimeError(
                     "simulation ran out of events before the transfer completed"
                 )
-            events += 1
         return self._result
 
 

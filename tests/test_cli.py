@@ -14,8 +14,8 @@ from repro.exp.cli import (
     parse_shard_arg,
     parse_size,
 )
+from repro.exp.shard import Shard
 from repro.exp.spec import ContentionSpec
-from repro.fleet import Shard
 from repro.sim.config import DesignPoint
 
 KIB = 1024
@@ -95,25 +95,11 @@ def test_sweep_arguments():
 
 
 def test_fleet_flags_parse():
-    args = build_parser().parse_args(
-        [
-            "figures",
-            "--shard",
-            "2/3",
-            "--resume",
-            "--task-timeout",
-            "90",
-            "--retries",
-            "5",
-        ]
-    )
+    args = build_parser().parse_args(["figures", "--shard", "2/3"])
     assert args.shard == Shard(index=2, count=3)
-    assert args.resume is True
-    assert args.task_timeout == 90.0
-    assert args.retries == 5
-    # sweep and scenarios carry the same flags.
+    # sweep and scenarios carry the same flag.
     assert build_parser().parse_args(["sweep", "--shard", "1/2"]).shard.count == 2
-    assert build_parser().parse_args(["scenarios", "--resume"]).resume is True
+    assert build_parser().parse_args(["scenarios", "--shard", "2/2"]).shard.index == 2
 
 
 def test_fleet_flag_validation():
@@ -121,13 +107,23 @@ def test_fleet_flag_validation():
     for argv in (
         ["figures", "--shard", "0/3"],
         ["figures", "--shard", "4/3"],
-        ["figures", "--shard", "x"],
-        ["sweep", "--task-timeout", "0"],
-        ["sweep", "--task-timeout", "soon"],
-        ["scenarios", "--retries", "-1"],
+        ["sweep", "--shard", "x"],
+        ["scenarios", "--shard", "1/0"],
     ):
         with pytest.raises(SystemExit):
             build_parser().parse_args(argv)
+
+
+def test_removed_resume_timeout_and_retry_flags_are_rejected(capsys):
+    for argv in (
+        ["figures", "--resume"],
+        ["sweep", "--task-timeout", "5"],
+        ["scenarios", "--retries", "1"],
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_bench_shard_excludes_check():
@@ -294,13 +290,26 @@ def test_sweep_shard_tolerates_duplicate_flags(tmp_path, capsys):
     assert "Sweep: 1 transfer experiments" in capsys.readouterr().out
 
 
-def test_sweep_resume_serves_journal(tmp_path, capsys):
+def test_sweep_rerun_after_interrupt_serves_cache(tmp_path, capsys, monkeypatch):
+    """Ctrl-C in a sweep's second spec: the first spec was cached the moment
+    it finished, so rerunning the same sweep simulates only the second."""
+    from repro.exp.spec import TransferSpec
+
+    run = TransferSpec.run
+
+    def interrupt_pim_mmu(spec, config):
+        if spec.design_point is DesignPoint.BASE_DHP:
+            raise KeyboardInterrupt
+        return run(spec, config)
+
     argv = [
         "sweep",
         "--config",
         "small",
         "--design-point",
         "base",
+        "--design-point",
+        "pim-mmu",
         "--direction",
         "d2p",
         "--size",
@@ -309,17 +318,16 @@ def test_sweep_resume_serves_journal(tmp_path, capsys):
         "64KiB",
         "--results-dir",
         str(tmp_path / "results"),
-        "--no-cache",
     ]
+    monkeypatch.setattr(TransferSpec, "run", interrupt_pim_mmu)
+    with pytest.raises(KeyboardInterrupt):
+        main(argv)
+    monkeypatch.undo()
     assert main(argv) == 0
-    first = capsys.readouterr().out
-    assert "simulations executed: 1" in first
-    # With --no-cache the rerun would re-simulate -- unless --resume replays
-    # the journal the first run streamed.
-    assert main(argv + ["--resume"]) == 0
-    second = capsys.readouterr().out
-    assert "simulations executed: 0" in second
-    assert "journal hits: 1" in second
+    rerun = capsys.readouterr().out
+    assert "Sweep: 2 transfer experiments" in rerun
+    assert "simulations executed: 1" in rerun
+    assert "disk-cache hits: 1" in rerun
 
 
 def test_variant_flags_are_validated_at_parse_time(capsys):
@@ -337,60 +345,3 @@ def test_variant_flags_are_validated_at_parse_time(capsys):
         assert "argument --" in capsys.readouterr().err
     args = parser.parse_args(["bench", "--fabric", "mesh:4x4"])
     assert args.fabric == "mesh:4x4"
-
-
-def _record_journals(monkeypatch):
-    """Make the CLI's FleetJournal instances observable to the test."""
-    import repro.exp.cli as cli
-
-    journals = []
-
-    class RecordingJournal(cli.FleetJournal):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            journals.append(self)
-
-    monkeypatch.setattr(cli, "FleetJournal", RecordingJournal)
-    return journals
-
-
-def test_sweep_closes_its_journal(tmp_path, monkeypatch):
-    journals = _record_journals(monkeypatch)
-    argv = [
-        "sweep", "--config", "small", "--design-point", "base",
-        "--direction", "d2p", "--size", "64KiB", "--sim-cap", "64KiB",
-        "--results-dir", str(tmp_path / "results"), "--no-cache",
-    ]
-    assert main(argv) == 0
-    (journal,) = journals
-    assert len(journal) == 1  # the run streamed one record...
-    assert journal._handle is None  # ...and left no file handle open
-
-
-def test_figures_closes_its_journal_on_error(tmp_path, monkeypatch):
-    import repro.exp.cli as cli
-    from repro.exp.spec import TransferSpec
-    from repro.transfer.descriptor import TransferDirection
-
-    journals = _record_journals(monkeypatch)
-
-    def failing_generate(provider, figures, results_dir):
-        provider.run(
-            TransferSpec(
-                DesignPoint.BASELINE, TransferDirection.DRAM_TO_PIM,
-                64 * KIB, sim_cap_bytes=64 * KIB,
-            )
-        )
-        raise RuntimeError("figure failed")
-
-    monkeypatch.setattr(cli, "generate_figures", failing_generate)
-    with pytest.raises(RuntimeError, match="figure failed"):
-        main(
-            [
-                "figures", "--fast", "--config", "small", "--no-cache",
-                "--results-dir", str(tmp_path / "results"),
-            ]
-        )
-    (journal,) = journals
-    assert len(journal) == 1
-    assert journal._handle is None

@@ -2,11 +2,14 @@
 
 Covers the declarative specs, the on-disk result cache (hit/miss and
 invalidation on config or code-version change), parallel-vs-serial runner
-equivalence, and the extrapolation path that serves oversized transfer
-requests from a cached steady-state window.
+equivalence, the extrapolation path that serves oversized transfer
+requests from a cached steady-state window, and what a failing or
+interrupted batch leaves in the cache.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import pytest
 
@@ -14,10 +17,12 @@ from repro.exp import (
     MISS,
     ContentionSpec,
     ExperimentProvider,
-    ParallelRunner,
     ResultCache,
     Sweep,
     TransferSpec,
+    generate_figures,
+    run_specs,
+    select_figures,
     spec_key,
 )
 from repro.sim.config import DesignPoint
@@ -192,8 +197,19 @@ def test_provider_get_matches_spec_run(small_config):
 
 
 # ---------------------------------------------------------------------------
-# Runner: parallel == serial
+# Runner: parallel == serial, failures and interrupts
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class RaisingSpec:
+    """A spec whose run raises ``error`` (module level, so it pickles)."""
+
+    KIND = "raising"
+    error: type = RuntimeError
+
+    def run(self, config):
+        raise self.error("injected failure")
 
 
 def test_parallel_and_serial_runners_agree(small_config):
@@ -202,21 +218,99 @@ def test_parallel_and_serial_runners_agree(small_config):
         small_spec(DesignPoint.BASE_DHP),
         small_spec(DesignPoint.BASE_DHP, direction=P2D),
     ]
-    serial = ParallelRunner(jobs=1).run(small_config, specs)
-    parallel = ParallelRunner(jobs=2).run(small_config, specs)
+    serial = dict(run_specs(small_config, specs, jobs=1))
+    parallel = dict(run_specs(small_config, specs, jobs=2))
     assert set(serial) == set(parallel) == set(specs)
     for spec in specs:
         assert serial[spec] == parallel[spec]
 
 
+def design_point_grid():
+    return [
+        small_spec(DesignPoint.BASELINE),
+        small_spec(DesignPoint.BASE_D),
+        small_spec(DesignPoint.BASE_DH),
+        small_spec(DesignPoint.BASE_DHP),
+        small_spec(DesignPoint.BASE_DHP, direction=P2D),
+    ]
+
+
+def test_provider_parallel_matches_serial(small_config):
+    """A provider prefetching the design-point grid through worker
+    processes serves exactly the outcomes a serial provider computes."""
+    specs = design_point_grid()
+    serial = ExperimentProvider(small_config, jobs=1)
+    parallel = ExperimentProvider(small_config, jobs=2)
+    assert serial.prefetch(specs) == parallel.prefetch(specs) == len(specs)
+    for spec in specs:
+        assert serial.run(spec) == parallel.run(spec)
+
+
+def test_cache_rerun_skips_finished_work(tmp_path, small_config):
+    """A second parallel provider on a filled cache simulates nothing and
+    serves every spec from disk, equal to the first run's outcomes."""
+    specs = design_point_grid()
+    cache = ResultCache(tmp_path / "cache")
+    first = ExperimentProvider(small_config, cache=cache, jobs=2)
+    first.prefetch(specs)
+    expected = {spec: first.run(spec) for spec in specs}
+
+    second = ExperimentProvider(small_config, cache=cache, jobs=2)
+    assert second.prefetch(specs) == 0
+    assert second.stats.executed == 0
+    assert second.stats.disk_hits == len(specs)
+    for spec in specs:
+        assert second.run(spec) == expected[spec]
+
+
 def test_runner_deduplicates_specs(small_config):
-    outcomes = ParallelRunner(jobs=1).run(small_config, [small_spec(), small_spec()])
+    outcomes = dict(run_specs(small_config, [small_spec(), small_spec()], jobs=1))
     assert len(outcomes) == 1
 
 
-def test_runner_rejects_bad_job_count():
+def test_runner_rejects_bad_job_count(small_config):
     with pytest.raises(ValueError):
-        ParallelRunner(jobs=0)
+        list(run_specs(small_config, [small_spec()], jobs=0))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failing_spec_raises_after_the_batch_completes(small_config, jobs):
+    """The error is re-raised unchanged, after every other spec was yielded."""
+    good = [small_spec(DesignPoint.BASELINE), small_spec(DesignPoint.BASE_DHP)]
+    yielded = []
+    with pytest.raises(RuntimeError, match="injected failure"):
+        for spec, _ in run_specs(small_config, [RaisingSpec(), *good], jobs=jobs):
+            yielded.append(spec)
+    assert sorted(map(repr, yielded)) == sorted(map(repr, good))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_provider_prefetch_caches_completed_work_on_failure(
+    tmp_path, small_config, jobs
+):
+    """One failing spec leaves every other spec in the disk cache (and is
+    not cached itself), so a fixed rerun simulates only what failed."""
+    cache = ResultCache(tmp_path / "cache")
+    provider = ExperimentProvider(small_config, cache=cache, jobs=jobs)
+    good = [small_spec(DesignPoint.BASELINE), small_spec(DesignPoint.BASE_DHP)]
+    with pytest.raises(RuntimeError, match="injected failure"):
+        provider.prefetch([RaisingSpec(), *good])
+    assert provider.stats.executed == len(good)
+    for spec in good:
+        assert cache.get(small_config, spec) is not MISS
+    assert cache.get(small_config, RaisingSpec()) is MISS
+
+
+def test_interrupt_keeps_finished_specs_cached(tmp_path, small_config):
+    """Ctrl-C in the second spec of a serial prefetch: the first spec is
+    already in the disk cache, so the rerun does not simulate it again."""
+    cache = ResultCache(tmp_path / "cache")
+    provider = ExperimentProvider(small_config, cache=cache, jobs=1)
+    finished = small_spec()
+    with pytest.raises(KeyboardInterrupt):
+        provider.prefetch([finished, RaisingSpec(KeyboardInterrupt)])
+    assert cache.get(small_config, finished) is not MISS
+    assert len(cache) == 1
 
 
 def test_prefetch_then_compute_hits_memo(tmp_path, small_config):
@@ -232,3 +326,34 @@ def test_prefetch_then_compute_hits_memo(tmp_path, small_config):
     assert provider.stats.memo_hits == 2
     # A second prefetch over the same grid is a no-op.
     assert provider.prefetch(specs) == 0
+
+
+FIGURE_SUBSET = ("table1", "fig04", "fig06")
+
+
+def _generate(provider, results_dir):
+    paths = generate_figures(provider, select_figures(FIGURE_SUBSET), results_dir)
+    return {path.name: path.read_bytes() for path in paths}
+
+
+def test_interrupted_sweep_resumes_byte_identical(tmp_path, small_config):
+    """A figure sweep that cached half its specs before stopping, rerun on
+    the same cache, simulates only the other half and writes tables
+    byte-identical to an uninterrupted run."""
+    uninterrupted = ExperimentProvider(small_config, jobs=2)
+    expected = _generate(uninterrupted, tmp_path / "uninterrupted")
+
+    specs = [
+        spec
+        for figure in select_figures(FIGURE_SUBSET)
+        for spec in figure.specs(small_config)
+    ]
+    cache = ResultCache(tmp_path / "cache")
+    cached = ExperimentProvider(small_config, cache=cache, jobs=2).prefetch(
+        specs[: len(specs) // 2]
+    )
+    assert 0 < cached < uninterrupted.stats.executed
+
+    rerun = ExperimentProvider(small_config, cache=cache, jobs=2)
+    assert _generate(rerun, tmp_path / "rerun") == expected
+    assert rerun.stats.executed == uninterrupted.stats.executed - cached

@@ -3,8 +3,8 @@
 Covers the ``repro.workloads.llm`` traffic compiler (golden numbers for the
 tiny preset), the continuous-batching :class:`ServingDriver` (determinism,
 completeness, KV accounting), the :class:`~repro.scenarios.serving.ServingSpec`
-experiment plumbing (pickling, caching, ``-j2 == -j1`` through the fleet
-runner, memory-controller policy contrast) and the request-level
+experiment plumbing (pickling, caching, ``-j2 == -j1`` through
+``run_specs``, memory-controller policy contrast) and the request-level
 ``RunResult`` v2 schema (round-trips, v1 compatibility, ``serve_llm``).
 """
 
@@ -17,7 +17,7 @@ import pytest
 
 from repro.api import RUN_RESULT_SCHEMA_VERSION, RequestRecord, RunResult, Session
 from repro.exp.cache import CACHE_DIR_NAME, ResultCache
-from repro.exp.runner import ExperimentProvider, ParallelRunner
+from repro.exp.runner import ExperimentProvider, run_specs
 from repro.scenarios import SCENARIOS, ServingSpec, render_serving_table
 from repro.sim.config import DesignPoint
 from repro.workloads.llm import (
@@ -262,8 +262,8 @@ class TestServingSpecOrchestration:
 
     def test_parallel_equals_serial(self, small_config):
         specs = [tiny_serving_spec(), tiny_serving_spec(policy="qos_priority:interactive=1")]
-        serial = ParallelRunner(jobs=1).run(small_config, specs)
-        parallel = ParallelRunner(jobs=2).run(small_config, specs)
+        serial = dict(run_specs(small_config, specs, jobs=1))
+        parallel = dict(run_specs(small_config, specs, jobs=2))
         assert serial == parallel
 
     def test_disk_cache_round_trip(self, small_config, tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 from repro.exp.cache import CACHE_DIR_NAME, ResultCache
 from repro.exp.cli import main, parse_tenant
-from repro.exp.runner import ExperimentProvider, ParallelRunner
+from repro.exp.runner import ExperimentProvider, run_specs
 from repro.exp.spec import TransferSpec
 from repro.scenarios import (
     SCENARIOS,
@@ -159,8 +159,8 @@ class TestOrchestrationIntegration:
                 tenants=(TenantSpec.synthetic("solo", "skewed", total_bytes=32 * KIB),),
             ),
         ]
-        serial = ParallelRunner(jobs=1).run(small_config, specs)
-        parallel = ParallelRunner(jobs=2).run(small_config, specs)
+        serial = dict(run_specs(small_config, specs, jobs=1))
+        parallel = dict(run_specs(small_config, specs, jobs=2))
         assert serial == parallel
 
     def test_disk_cache_round_trip(self, small_config, tmp_path):

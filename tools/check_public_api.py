@@ -12,8 +12,8 @@ Asserts that the documented surface and the exported surface agree:
    is registered under, and every design point resolves to a registered
    default backend;
 4. every registered scenario is well-formed: unique results filename, at
-   least one spec, every spec is a picklable ``ExperimentSpec`` (the fleet
-   runner ships specs to worker processes), and its renderer accepts the
+   least one spec, every spec is a picklable ``ExperimentSpec`` (the process
+   pool ships specs to worker processes), and its renderer accepts the
    registered entry.
 
 Stdlib only.  Exits non-zero with a list of violations.
